@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 from repro.backend.ssd import SSDBackend
 from repro.core.client import ClientDriver, RetryPolicy
 from repro.core.config import ClusterSpec, default_cluster, EEVFSConfig
+from repro.core.fingerprint import NOT_FINGERPRINTED
 from repro.core.node import StorageNode
 from repro.core.server import StorageServer
 from repro.disk.states import DiskState
@@ -161,7 +162,7 @@ class RunResult:
     #: Observability snapshot (spans + telemetry series); None unless the
     #: run was executed with ``obs`` enabled.  Plain data -- safe to
     #: pickle across the repro.parallel process boundary.
-    trace: Optional[RunTrace] = None
+    trace: Optional[RunTrace] = field(default=None, metadata=NOT_FINGERPRINTED)
 
     @property
     def duration_s(self) -> float:
