@@ -270,7 +270,7 @@ def _cmd_wear(args: argparse.Namespace) -> None:
 def _cmd_metadata_drill(args: argparse.Namespace) -> None:
     """Metadata-plane chaos drill: crash every shard leader once and
     compare an unreplicated plane against a 3-replica one."""
-    from repro.experiments.metaplane import drill_fingerprint, run_metadata_drill
+    from repro.experiments.metaplane import run_metadata_drill
     from repro.metrics.report import metaplane_table
 
     results = run_metadata_drill(
@@ -292,12 +292,6 @@ def _cmd_metadata_drill(args: argparse.Namespace) -> None:
             ),
         )
     )
-    if args.json:
-        from pathlib import Path
-
-        fingerprint = drill_fingerprint(results)
-        Path(args.json).write_text(fingerprint + "\n")
-        print(f"\nfingerprint written to {args.json}")
 
 
 def _cmd_metaplane(args: argparse.Namespace) -> None:
@@ -330,12 +324,11 @@ def _cmd_metaplane(args: argparse.Namespace) -> None:
 
 def _cmd_online(args: argparse.Namespace) -> None:
     """Oracle-vs-online ablation: how much savings survives without
-    hindsight?  Optionally writes a determinism fingerprint (--json)."""
+    hindsight?"""
     from repro.experiments.online import (
         ablation_rows,
         ABLATION_HEADERS,
         online_ablation,
-        online_fingerprint,
         retention_summary,
     )
     from repro.metrics.report import online_series, online_table
@@ -388,22 +381,12 @@ def _cmd_online(args: argparse.Namespace) -> None:
                 title="Controller activity (first point)",
             )
         )
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(online_fingerprint(ablation))
-        print(f"\nFingerprint written to {args.json}")
 
 
 def _cmd_ssd(args: argparse.Namespace) -> None:
     """SSD buffer-tier sweep: capacity x channels x GC reserve, PF/NPF
-    per point, HDD-buffer reference pairs.  Optionally writes a
-    determinism fingerprint (--json)."""
-    from repro.experiments.ssd import (
-        ssd_fingerprint,
-        ssd_sweep,
-        SSD_HEADERS,
-        sweep_rows,
-    )
+    per point, HDD-buffer reference pairs."""
+    from repro.experiments.ssd import ssd_sweep, SSD_HEADERS, sweep_rows
 
     points = ssd_sweep(
         capacities_mb=tuple(args.capacities_mb),
@@ -433,10 +416,6 @@ def _cmd_ssd(args: argparse.Namespace) -> None:
             f"WA={best.pf.ssd_write_amplification:.2f}, "
             f"max erase count {best.pf.ssd_max_erase_count}."
         )
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(ssd_fingerprint(points))
-        print(f"\nFingerprint written to {args.json}")
 
 
 def _cmd_faults(args: argparse.Namespace) -> None:
@@ -796,12 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="replica counts to compare in --metadata-drill (default: 1 3)",
     )
-    faults.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the drill's determinism fingerprint JSON to PATH",
-    )
     faults.set_defaults(func=_cmd_faults)
     metaplane = sub.add_parser(
         "metaplane", help="metadata-plane shard x replica availability sweep"
@@ -855,11 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
             "projected next-epoch savings (online_replan_cost_gate)"
         ),
     )
-    online.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the determinism fingerprint (canonical JSON) to PATH",
-    )
     online.set_defaults(func=_cmd_online)
     ssd = sub.add_parser(
         "ssd", help="SSD vs HDD buffer-tier sweep (repro.backend)"
@@ -893,11 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.4,
         help="workload write share (rewrite churn drives GC and WA)",
-    )
-    ssd.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the determinism fingerprint (canonical JSON) to PATH",
     )
     ssd.set_defaults(func=_cmd_ssd)
     bench = sub.add_parser(

@@ -19,6 +19,7 @@ retries show up as latency, exactly as a real client would experience.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 from typing import Any, Dict, Generator, Optional, Set, Tuple
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.core.config import EEVFSConfig
 from repro.core.protocol import (
     FileData,
     FileRequest,
-    next_request_id,
     RequestFailed,
     WriteAck,
 )
@@ -125,6 +125,9 @@ class ClientDriver:
             "node_other_s": TallyStat(name="node_other_s"),
             "network_server_s": TallyStat(name="network_server_s"),
         }
+        #: Source of this client's request ids, which correlate a request
+        #: with its reply.
+        self._request_ids = itertools.count()
         #: request_id -> ORIGINAL issue time of requests awaiting settlement
         #: (retries do not reset it: response time is end to end).
         self._pending: Dict[int, float] = {}
@@ -203,7 +206,7 @@ class ClientDriver:
             if target > self.sim.now:
                 yield self.sim.timeout(target - self.sim.now)
             # Open loop: fire and move on.
-            self._issue(next_request_id(), request.file_id, request.op)
+            self._issue(next(self._request_ids), request.file_id, request.op)
         self._replay_finished = True
         if self._pending:
             yield self._drained
@@ -219,7 +222,7 @@ class ClientDriver:
                 yield self.sim.timeout(target - self.sim.now)
             slot = slots.request()
             yield slot
-            request_id = next_request_id()
+            request_id = next(self._request_ids)
             done = self.sim.event()
             self._waiters[request_id] = done
             self._issue(request_id, request.file_id, request.op)
@@ -246,7 +249,7 @@ class ClientDriver:
                 if gap > 0:
                     yield self.sim.timeout(gap)
             previous_t = request.time_s
-            request_id = next_request_id()
+            request_id = next(self._request_ids)
             done = self.sim.event()
             self._waiters[request_id] = done
             self._issue(request_id, request.file_id, request.op)

@@ -9,17 +9,9 @@ size (set by the sender to the file size).
 from __future__ import annotations
 
 from dataclasses import dataclass
-import itertools
 from typing import Dict, Optional, Tuple
 
 from repro.traces.model import RequestOp
-
-_request_ids = itertools.count()
-
-
-def next_request_id() -> int:
-    """Globally unique id correlating a request with its data response."""
-    return next(_request_ids)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ under *every* legal schedule is:
   (buffered + direct), failures, the per-component latency sample
   counts and the node roster are all identical across orderings;
 * **reproducibility** -- a perturbed schedule is itself deterministic:
-  the same perturbation seed twice gives bit-identical metrics.
+  the same perturbation seed twice gives the same run
+  :func:`~repro.core.fingerprint.fingerprint`.
 
 A use-after-recycle, a dict-order handler race, or an RNG stream keyed
 on iteration order breaks one of these three long before anyone reads a
@@ -43,6 +44,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import EEVFSConfig
 from repro.core.filesystem import run_eevfs, RunResult
+from repro.core.fingerprint import fingerprint
 from repro.experiments.metaplane import (
     drill_config,
     drill_trace,
@@ -118,33 +120,6 @@ def conservation_fingerprint(result: RunResult) -> str:
             for name, stat in sorted(result.latency_components.items())
         },
         "nodes": [node.name for node in result.nodes],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def metrics_fingerprint(result: RunResult) -> str:
-    """Canonical JSON of the *full* metric surface, floats via ``repr``
-    (bit-exact round-trip).  Used for same-seed reproducibility: two
-    runs under the same perturbation seed must match byte for byte."""
-    payload = {
-        "end_s": repr(result.end_s),
-        "energy_j": repr(result.energy_j),
-        "energy_with_setup_j": repr(result.energy_with_setup_j),
-        "server_energy_j": repr(result.server_energy_j),
-        "transitions": result.transitions,
-        "buffer_hits": result.buffer_hits,
-        "data_disk_hits": result.data_disk_hits,
-        "writes_buffered": result.writes_buffered,
-        "writes_direct": result.writes_direct,
-        "writes_destaged": result.writes_destaged,
-        "prefetch_files_copied": result.prefetch_files_copied,
-        "prefetch_bytes_copied": result.prefetch_bytes_copied,
-        "requests_failed": result.requests_failed,
-        "response_mean": repr(result.response_times.mean),
-        "nodes": [
-            [node.name, repr(node.base_energy_j), repr(node.disk_energy_j)]
-            for node in result.nodes
-        ],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -262,7 +237,7 @@ def run_scenario(
                 f"seed {seed}: perturbed run raised {type(exc).__name__}: {exc}"
             )
             continue
-        if metrics_fingerprint(first) != metrics_fingerprint(second):
+        if fingerprint(first) != fingerprint(second):
             report.status = "race"
             report.problems.append(
                 f"seed {seed}: perturbed schedule is not reproducible "

@@ -26,20 +26,11 @@ Numbers are machine-dependent; the JSON records the host's CPU count so
 results are comparable across commits on the same machine, not across
 machines.
 
-Schema v2 added a ``history`` list: each benchmark invocation appends a
-compact entry (headline numbers + wall-clock timestamp) while the
-latest full sections stay under the v1 top-level keys, so the bench
-trajectory accumulates across commits instead of being overwritten.
-Schema v4 adds the ``dispatch`` and ``meanfield_run`` families and makes
-the parallel section honest about worker counts: it records the
-*requested* and *effective* job counts and whether a process pool could
-actually start (the previous schema silently benchmarked the serial
-fallback on one-CPU hosts and reported its ~1.0x as a "speedup").
-Schema v5 adds the ``ssd_run`` family (the flash buffer tier's wall
-clock next to the HDD ``single_run``).  Histories from v2/v3/v4 files
-are carried forward as-is (old entries simply lack the new columns); a
-v1 file (no history) is migrated by synthesising one entry from its
-top-level sections.
+Each invocation appends a compact entry (headline numbers + wall-clock
+timestamp) to the file's ``history`` list while the latest full
+sections stay at the top level, so the bench trajectory accumulates
+across commits instead of being overwritten.  Only a current-schema
+file's history carries forward.
 """
 
 from __future__ import annotations
@@ -52,6 +43,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.config import EEVFSConfig
 from repro.core.filesystem import run_eevfs
+from repro.core.fingerprint import fingerprint
 from repro.experiments.sweeps import sweep_specs
 from repro.parallel import default_jobs, run_jobs
 from repro.sim import Simulator
@@ -59,10 +51,6 @@ from repro.traces.cache import cached_trace
 from repro.traces.synthetic import SyntheticWorkload
 
 SCHEMA = "eevfs-bench-perf/5"
-SCHEMA_V4 = "eevfs-bench-perf/4"
-SCHEMA_V3 = "eevfs-bench-perf/3"
-SCHEMA_V2 = "eevfs-bench-perf/2"
-SCHEMA_V1 = "eevfs-bench-perf/1"
 DEFAULT_PATH = Path("BENCH_perf.json")
 #: Oldest history entries are dropped beyond this many runs.
 HISTORY_LIMIT = 100
@@ -196,21 +184,6 @@ def ssd_run_benchmark(n_requests: int = 1000, repeats: int = 3) -> Dict[str, Any
     }
 
 
-def _comparison_fingerprint(comparisons: List[Any]) -> List[tuple]:
-    """Exact metric tuples for equality checks between executions."""
-    return [
-        (
-            c.pf.energy_j,
-            c.pf.transitions,
-            c.pf.response_times.mean,
-            c.npf.energy_j,
-            c.npf.transitions,
-            c.npf.response_times.mean,
-        )
-        for c in comparisons
-    ]
-
-
 def _pool_available(workers: int = 2) -> bool:
     """True if a process pool can actually start and run a task here."""
     try:
@@ -248,7 +221,7 @@ def parallel_benchmark(
     parallel = run_jobs(specs, jobs=jobs_effective)
     parallel_s = time.perf_counter() - start
 
-    identical = _comparison_fingerprint(serial) == _comparison_fingerprint(parallel)
+    identical = fingerprint(serial) == fingerprint(parallel)
     return {
         "n_jobs_in_batch": len(specs),
         "n_requests": n_requests,
@@ -332,11 +305,9 @@ def _history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
 def load_history(out_path: os.PathLike) -> List[Dict[str, Any]]:
     """Prior run history from an existing report file (empty if none).
 
-    A v2..v4 (or current) file contributes its ``history`` list (older
-    entries simply lack the newer columns); a v1 file (no history) is migrated
-    by synthesising one entry from its top-level sections.  An
-    unreadable or alien file contributes nothing -- the benchmark must
-    never fail because an old artifact went stale.
+    A current-schema file contributes its ``history`` list.  An
+    unreadable, older-schema or alien file contributes nothing -- the
+    benchmark must never fail because an old artifact went stale.
     """
     path = Path(out_path)
     if not path.exists():
@@ -345,15 +316,10 @@ def load_history(out_path: os.PathLike) -> List[Dict[str, Any]]:
         previous = json.loads(path.read_text())
     except (OSError, ValueError):
         return []
-    if not isinstance(previous, dict):
+    if not isinstance(previous, dict) or previous.get("schema") != SCHEMA:
         return []
-    schema = previous.get("schema")
-    if schema in (SCHEMA, SCHEMA_V4, SCHEMA_V3, SCHEMA_V2):
-        history = previous.get("history")
-        return list(history) if isinstance(history, list) else []
-    if schema == SCHEMA_V1:
-        return [_history_entry(previous)]
-    return []
+    history = previous.get("history")
+    return list(history) if isinstance(history, list) else []
 
 
 def run_perf_benchmark(

@@ -8,8 +8,8 @@ hit counters, response-time tallies down to the last bit of the floats
 below *is* the pre-refactor path (it overrides the two factory methods
 with the literal constructor calls the node used to contain); the tests
 run the whole stack both ways on one point from each of the four
-Table-II sweeps and compare ``repr``-level fingerprints (repr
-round-trips floats, so equality here is bit equality).
+Table-II sweeps and compare their :func:`~repro.core.fingerprint.
+fingerprint` (repr round-trips floats, so equality here is bit equality).
 """
 
 import pytest
@@ -24,6 +24,7 @@ from repro.backend import (
 )
 from repro.core import EEVFSConfig, run_eevfs
 from repro.core.filesystem import EEVFSCluster
+from repro.core.fingerprint import fingerprint
 from repro.core.node import StorageNode
 from repro.disk.drive import SimDisk
 from repro.disk.specs import ATA_80GB_TYPE1, DiskSpec
@@ -56,35 +57,6 @@ class LegacyNode(StorageNode):
         )
 
 
-def _tally(stat):
-    return (stat.count, repr(stat.mean), repr(stat.minimum), repr(stat.maximum))
-
-
-def _fingerprint(result):
-    return (
-        repr(result.epoch_s),
-        repr(result.end_s),
-        repr(result.energy_j),
-        repr(result.energy_with_setup_j),
-        repr(result.server_energy_j),
-        result.transitions,
-        result.buffer_hits,
-        result.data_disk_hits,
-        result.writes_buffered,
-        result.writes_direct,
-        result.writes_destaged,
-        result.prefetch_files_copied,
-        result.prefetch_bytes_copied,
-        result.requests_failed,
-        _tally(result.response_times),
-        tuple(sorted((k, _tally(v)) for k, v in result.latency_components.items())),
-        tuple(
-            (n.name, repr(n.base_energy_j), repr(n.disk_energy_j), n.transitions)
-            for n in result.nodes
-        ),
-    )
-
-
 #: One representative point from each of the four Table-II sweeps
 #: (workload knob or config knob, off the defaults where the sweep
 #: varies the workload).
@@ -110,7 +82,7 @@ def _run(node_class, workload, config, seed=7):
 def test_hdd_behind_protocol_is_byte_identical(workload, config):
     legacy = _run(LegacyNode, workload, config)
     routed = _run(StorageNode, workload, config)
-    assert _fingerprint(legacy) == _fingerprint(routed)
+    assert fingerprint(legacy) == fingerprint(routed)
 
 
 def test_factory_returns_the_same_class_for_hdd():

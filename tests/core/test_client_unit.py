@@ -48,6 +48,19 @@ class TestConstruction:
             client.replay(small_trace(), epoch_s=1.0)
 
 
+class TestRequestIds:
+    def test_same_seed_runs_in_one_process_record_equal_completions(self):
+        # Ids are issued by the client, so a second cluster in the same
+        # process starts from the same id as the first.
+        trace = small_trace()
+        first = EEVFSCluster(config=EEVFSConfig(), seed=4)
+        first.run(trace)
+        second = EEVFSCluster(config=EEVFSConfig(), seed=4)
+        second.run(trace)
+        assert first.client.completions
+        assert first.client.completions == second.client.completions
+
+
 class TestDisciplines:
     @pytest.mark.parametrize("mode", ["open", "paced", "closed"])
     def test_all_requests_answered(self, mode):

@@ -1,97 +1,26 @@
-"""Old-path vs new-path byte identity on full ``run_eevfs``.
+"""The event stream of a same-seed run is reproducible.
 
-The fabric's delivery machinery was converted from per-message generator
-processes to flat :class:`~repro.net.fabric._Delivery` continuations.
-The conversion must be *invisible*: every metric of a same-seed run --
-energies, transitions, hit counters, response-time tallies down to the
-last bit of the floats -- must match the legacy generator path exactly.
-``Fabric.use_continuations`` is the single switch that selects the
-dispatch mode; these tests run the whole stack both ways and compare
-``repr``-level fingerprints (repr round-trips floats, so equality here
-is bit equality).
+The golden fingerprints (``test_golden_fingerprints``) pin what a run
+*measures*; this pins what it *does*: every event the kernel dispatches,
+in order, hashed by :class:`~repro.devtools.sanitizer.EventStreamHasher`.
+Two same-seed runs of the whole stack must give the same digest.
 """
 
 import pytest
 
-from repro.core import EEVFSConfig, run_eevfs
-from repro.net.fabric import Fabric
+from repro.core import EEVFSConfig
+from repro.core.filesystem import EEVFSCluster
+from repro.devtools.sanitizer import EventStreamHasher
 from repro.traces.synthetic import SyntheticWorkload, generate_synthetic_trace
 
 
-def _tally(stat):
-    return (stat.count, repr(stat.mean), repr(stat.minimum), repr(stat.maximum))
-
-
-def _fingerprint(result):
-    return (
-        repr(result.epoch_s),
-        repr(result.end_s),
-        repr(result.energy_j),
-        repr(result.energy_with_setup_j),
-        repr(result.server_energy_j),
-        result.transitions,
-        result.buffer_hits,
-        result.data_disk_hits,
-        result.writes_buffered,
-        result.writes_direct,
-        result.writes_destaged,
-        result.prefetch_files_copied,
-        result.prefetch_bytes_copied,
-        result.requests_failed,
-        _tally(result.response_times),
-        tuple(sorted((k, _tally(v)) for k, v in result.latency_components.items())),
-        tuple(
-            (n.name, repr(n.base_energy_j), repr(n.disk_energy_j), n.transitions)
-            for n in result.nodes
-        ),
-    )
-
-
-def _run(use_continuations, config, seed=7):
+def _digest(config, seed=7):
+    """EventStreamHasher digest of a whole cluster run."""
     workload = SyntheticWorkload(n_requests=150, write_fraction=0.2)
     trace = generate_synthetic_trace(workload)
-    previous = Fabric.use_continuations
-    Fabric.use_continuations = use_continuations
-    try:
-        return run_eevfs(trace, config, seed=seed)
-    finally:
-        Fabric.use_continuations = previous
-
-
-@pytest.mark.parametrize(
-    "config",
-    [
-        EEVFSConfig(),
-        EEVFSConfig(prefetch_enabled=False),
-        EEVFSConfig(online_mode=True),
-    ],
-    ids=["prefetch", "no-prefetch", "online"],
-)
-def test_generator_and_continuation_paths_are_byte_identical(config):
-    old = _run(False, config)
-    new = _run(True, config)
-    assert _fingerprint(old) == _fingerprint(new)
-
-
-def test_continuation_path_is_the_default():
-    assert Fabric.use_continuations is True
-
-
-def _digest(use_continuations, config, seed=7):
-    """EventStreamHasher digest of a whole cluster run in one mode."""
-    from repro.core.filesystem import EEVFSCluster
-    from repro.devtools.sanitizer import EventStreamHasher
-
-    workload = SyntheticWorkload(n_requests=150, write_fraction=0.2)
-    trace = generate_synthetic_trace(workload)
-    previous = Fabric.use_continuations
-    Fabric.use_continuations = use_continuations
-    try:
-        cluster = EEVFSCluster(config=config, seed=seed)
-        hasher = EventStreamHasher().attach(cluster.sim)
-        cluster.run(trace)
-    finally:
-        Fabric.use_continuations = previous
+    cluster = EEVFSCluster(config=config, seed=seed)
+    hasher = EventStreamHasher().attach(cluster.sim)
+    cluster.run(trace)
     return hasher.hexdigest(), hasher.events_hashed
 
 
@@ -104,20 +33,5 @@ def _digest(use_continuations, config, seed=7):
     ],
     ids=["prefetch", "no-prefetch", "online"],
 )
-@pytest.mark.parametrize("use_continuations", [False, True], ids=["gen", "cont"])
-def test_event_stream_digest_is_deterministic_per_mode(config, use_continuations):
-    # Within one dispatch mode, a same-seed run is digest-reproducible
-    # down to the event stream.  Across modes the raw digests *cannot*
-    # match -- continuation dispatch replaces per-message Process events
-    # with pooled Continuation carriers, so the stream's type names (and
-    # event counts) legitimately differ; cross-mode equivalence is
-    # asserted at the metrics level by
-    # test_generator_and_continuation_paths_are_byte_identical above.
-    assert _digest(use_continuations, config) == _digest(use_continuations, config)
-
-
-def test_dispatch_modes_produce_different_streams_but_identical_metrics():
-    # Sanity-pin the asymmetry the docstrings claim: same metrics
-    # (asserted elsewhere), different event streams.
-    config = EEVFSConfig()
-    assert _digest(False, config)[0] != _digest(True, config)[0]
+def test_event_stream_digest_is_reproducible(config):
+    assert _digest(config) == _digest(config)

@@ -7,14 +7,15 @@ statically) is caught dynamically; and the whole-cluster race suite
 classifies EEVFS scenarios by conservation, not by bit-equal metrics.
 """
 
+import dataclasses
 import json
+import math
 
 import pytest
 
+from repro.core.fingerprint import fingerprint
 from repro.devtools.racesuite import (
-    conservation_fingerprint,
     default_scenarios,
-    metrics_fingerprint,
     render_race_json,
     render_race_text,
     run_scenario,
@@ -173,23 +174,31 @@ class TestRaceSuite:
         assert conservation["failed"] == 0
         assert report.served == 40
 
-    def test_fingerprints_are_canonical_json(self):
+    def test_fingerprint_sees_every_nested_field(self):
         from repro.core import EEVFSConfig, run_eevfs
         from repro.traces.synthetic import (
             SyntheticWorkload,
             generate_synthetic_trace,
         )
 
-        trace = generate_synthetic_trace(SyntheticWorkload(n_requests=20))
-        result = run_eevfs(trace, EEVFSConfig(), seed=3)
-        for fingerprint in (
-            conservation_fingerprint(result),
-            metrics_fingerprint(result),
-        ):
-            payload = json.loads(fingerprint)
-            assert fingerprint == json.dumps(
-                payload, sort_keys=True, separators=(",", ":")
-            )
+        trace = generate_synthetic_trace(SyntheticWorkload(n_requests=60))
+        result = run_eevfs(trace, EEVFSConfig(online_mode=True), seed=3)
+        base = fingerprint(result)
+
+        energy = dataclasses.replace(
+            result, energy_j=math.nextafter(result.energy_j, math.inf)
+        )
+        assert fingerprint(energy) != base
+
+        node = result.nodes[2]
+        disk = dataclasses.replace(node.disks[1], transitions=node.disks[1].transitions + 1)
+        nodes = list(result.nodes)
+        nodes[2] = dataclasses.replace(node, disks=[node.disks[0], disk, *node.disks[2:]])
+        assert fingerprint(dataclasses.replace(result, nodes=nodes)) != base
+
+        assert result.online is not None and result.online.history
+        online = dataclasses.replace(result.online, history=result.online.history[:-1])
+        assert fingerprint(dataclasses.replace(result, online=online)) != base
 
     def test_json_report_excludes_seed_dependent_material(self):
         scenario = default_scenarios(n_requests=30)[1]

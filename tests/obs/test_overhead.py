@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core import EEVFSConfig, run_eevfs
 from repro.core.filesystem import EEVFSCluster
+from repro.core.fingerprint import fingerprint
 from repro.devtools.sanitizer import assert_deterministic, EventStreamHasher
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import MB, SyntheticWorkload
@@ -68,7 +69,7 @@ def test_obs_enabled_metrics_match_disabled():
     traced = run_eevfs(trace, config=EEVFSConfig(), seed=0, obs=True)
     assert plain.trace is None
     assert traced.trace is not None
-    assert plain.summary() == traced.summary()
+    assert fingerprint(plain) == fingerprint(traced)
 
 
 def test_obs_enabled_npf_metrics_match_disabled():
@@ -76,7 +77,7 @@ def test_obs_enabled_npf_metrics_match_disabled():
     config = EEVFSConfig(prefetch_enabled=False)
     plain = run_eevfs(trace, config=config, seed=0, obs=False)
     traced = run_eevfs(trace, config=config, seed=0, obs=True)
-    assert plain.summary() == traced.summary()
+    assert fingerprint(plain) == fingerprint(traced)
 
 
 def test_traced_run_covers_the_required_span_kinds():
