@@ -3,9 +3,10 @@
 The engine's chaos scheduler (:meth:`~repro.sim.engine.Simulator.
 set_lane_perturbation`) explores alternative-but-legal dispatch orders
 within same-``(time, priority)`` windows.  This module drives the full
-EEVFS stack through it across six representative scenarios -- one point
-from each of the four Table-II sweeps, the metadata-plane leader-crash
-drill, and an online-mode run -- and decides, per scenario, whether
+EEVFS stack through it across eight representative scenarios -- one
+point from each of the four Table-II sweeps, the metadata-plane
+leader-crash drill, an online-mode run, and an SSD-buffer write-mix run
+with and without buffer failures -- and decides, per scenario, whether
 anything *illegitimate* depends on dispatch order.
 
 What counts as illegitimate is deliberate.  Whole-cluster metrics are
@@ -50,6 +51,7 @@ from repro.experiments.metaplane import (
     drill_trace,
     leader_crash_schedule,
 )
+from repro.faults import FaultSchedule
 from repro.sim.engine import Simulator
 from repro.traces.model import Trace
 from repro.traces.synthetic import MB, SyntheticWorkload, generate_synthetic_trace
@@ -58,9 +60,10 @@ from repro.traces.synthetic import MB, SyntheticWorkload, generate_synthetic_tra
 #: in practice while keeping the suite inside a CI smoke budget.
 DEFAULT_RACE_SEEDS = (101, 303)
 
-#: Default request count per scenario -- small enough that all six
+#: Default request count per scenario -- small enough that all eight
 #: scenarios finish in seconds, large enough to exercise contention,
-#: prefetch, destaging and (for the drill) a full leader-crash cycle.
+#: prefetch, destaging, SSD garbage collection and (for the drill) a
+#: full leader-crash cycle.
 DEFAULT_N_REQUESTS = 150
 
 
@@ -125,8 +128,10 @@ def conservation_fingerprint(result: RunResult) -> str:
 
 
 def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario]:
-    """The six stock scenarios: one representative point per Table-II
-    sweep, the metaplane drill, and an online-mode run."""
+    """The eight stock scenarios: one representative point per Table-II
+    sweep, the metaplane drill, an online-mode run, and an SSD write-mix
+    run (32 MB buffer tier that overflows, so destage and GC run) both
+    healthy and with two buffer SSDs failing, one of them repaired."""
 
     def synthetic(**overrides: object) -> Trace:
         workload = SyntheticWorkload(n_requests=n_requests, write_fraction=0.2)
@@ -170,6 +175,22 @@ def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario
     # Online mode: streaming estimator + feedback controller replanning.
     scenarios.append(
         RaceScenario("online:adaptive", synthetic(), EEVFSConfig(online_mode=True))
+    )
+    # SSD buffer tier: the channel queues, write cache, destager and GC,
+    # and their drain when a buffer SSD fails mid-run.
+    ssd = EEVFSConfig(buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0)
+    ssd_trace = synthetic()
+    scenarios.append(RaceScenario("ssd:writemix", ssd_trace, ssd))
+    scenarios.append(
+        RaceScenario(
+            "ssd:buffer-fail",
+            ssd_trace,
+            ssd,
+            faults=FaultSchedule()
+            .disk_fail("node1/buffer", at=30.0)
+            .disk_repair("node1/buffer", at=45.0)
+            .disk_fail("node3/buffer", at=35.0),
+        )
     )
     return scenarios
 

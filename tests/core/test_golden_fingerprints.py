@@ -2,16 +2,17 @@
 
 A determinism check that runs one commit twice and compares cannot see
 a change that shifts a number but stays deterministic.  This module
-runs nine scenarios and compares each run's
+runs ten scenarios and compares each run's
 :func:`~repro.core.fingerprint.fingerprint` -- every field of the
 ``RunResult`` except the obs snapshot, floats to the bit -- with
 ``golden_fingerprints.json``, the fingerprints as last accepted:
 
-* the six race-suite scenarios: one point from each Table-II sweep, the
-  metadata-plane leader-crash drill and online mode;
+* the eight race-suite scenarios: one point from each Table-II sweep,
+  the metadata-plane leader-crash drill, online mode, and an SSD-buffer
+  write-mix point whose 32 MB tier overflows (so the write cache
+  destages and garbage collection erases blocks), healthy and with two
+  buffer SSDs failing mid-run;
 * an NPF point;
-* an SSD-buffer write-mix point whose 32 MB tier overflows, so the
-  write cache destages and garbage collection erases blocks;
 * a replication fault drill (``replication_factor=2``): a node crash
   that background repair re-replicates around, then a data-disk failure
   that a read fails over from.
@@ -43,17 +44,12 @@ N_REQUESTS = 150
 
 
 def golden_scenarios():
-    """The race suite's six scenarios plus NPF, SSD and replication."""
+    """The race suite's eight scenarios plus NPF and replication."""
     trace = generate_synthetic_trace(
         SyntheticWorkload(n_requests=N_REQUESTS, write_fraction=0.2)
     )
     return default_scenarios(N_REQUESTS) + [
         RaceScenario("npf", trace, EEVFSConfig(prefetch_enabled=False)),
-        RaceScenario(
-            "ssd:writemix",
-            trace,
-            EEVFSConfig(buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0),
-        ),
         RaceScenario(
             "replication:node-crash",
             trace,
@@ -128,6 +124,9 @@ def test_golden_file_covers_every_scenario(golden):
     assert golden["header"]["n_requests"] == N_REQUESTS
     ssd = golden["scenarios"]["ssd:writemix"]
     assert ssd["ssd_erases"] > 0
+    ssd_fail = golden["scenarios"]["ssd:buffer-fail"]
+    assert ssd_fail["requests_failed"] > 0
+    assert ssd_fail["ssd_erases"] > 0
     replication = golden["scenarios"]["replication:node-crash"]
     assert replication["requests_failed_over"] > 0
     assert replication["repairs_completed"] > 0

@@ -154,7 +154,7 @@ class TestScheduleInvariance:
 
 
 class TestRaceSuite:
-    def test_default_scenarios_cover_the_six_targets(self):
+    def test_default_scenarios_cover_the_eight_targets(self):
         names = [s.name for s in default_scenarios(n_requests=10)]
         assert names == [
             "sweep:data_size=20MB",
@@ -163,6 +163,8 @@ class TestRaceSuite:
             "sweep:prefetch_count=100",
             "metaplane:leader-crash",
             "online:adaptive",
+            "ssd:writemix",
+            "ssd:buffer-fail",
         ]
 
     def test_one_scenario_end_to_end(self):
