@@ -8,7 +8,7 @@ order deterministic and auditable.
 
 from __future__ import annotations
 
-from bisect import insort_right
+from bisect import bisect_right, insort_right
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.sim.events import Event, PENDING
@@ -246,9 +246,7 @@ class PriorityStore(Store):
                 key = (self._priority_key(put.item), self._insertions)
                 self._insertions += 1
                 # Insert in sorted position (stable by insertion number).
-                index = 0
-                while index < len(self._keys) and self._keys[index] <= key:
-                    index += 1
+                index = bisect_right(self._keys, key)
                 self.items.insert(index, put.item)
                 self._keys.insert(index, key)
                 put.succeed()

@@ -134,6 +134,7 @@ class TestServiceAndCache:
         assert counters.pages_relocated > 0
         assert ssd.write_amplification > 1.0
         assert ssd.ftl.max_erase_count > 0
+        ssd.ftl.check()
 
     def test_demand_reads_overtake_background_programs(self):
         sim = Simulator()
@@ -320,6 +321,7 @@ class TestEnergyAndObservability:
                 sim.run(until=sim.all_of(done))
                 _settle(sim, 20.0)
             ssd.finalize()
+            ssd.ftl.check()
             return (
                 repr(ssd.energy_j()),
                 repr(sim.now),
