@@ -3,10 +3,11 @@
 The engine's chaos scheduler (:meth:`~repro.sim.engine.Simulator.
 set_lane_perturbation`) explores alternative-but-legal dispatch orders
 within same-``(time, priority)`` windows.  This module drives the full
-EEVFS stack through it across eight representative scenarios -- one
+EEVFS stack through it across nine representative scenarios -- one
 point from each of the four Table-II sweeps, the metadata-plane
-leader-crash drill, an online-mode run, and an SSD-buffer write-mix run
-with and without buffer failures -- and decides, per scenario, whether
+leader-crash drill, an online-mode run, an SSD-buffer write-mix run
+with and without buffer failures, and striped HDD reads across a
+node crash -- and decides, per scenario, whether
 anything *illegitimate* depends on dispatch order.
 
 What counts as illegitimate is deliberate.  Whole-cluster metrics are
@@ -60,7 +61,7 @@ from repro.traces.synthetic import MB, SyntheticWorkload, generate_synthetic_tra
 #: in practice while keeping the suite inside a CI smoke budget.
 DEFAULT_RACE_SEEDS = (101, 303)
 
-#: Default request count per scenario -- small enough that all eight
+#: Default request count per scenario -- small enough that all nine
 #: scenarios finish in seconds, large enough to exercise contention,
 #: prefetch, destaging, SSD garbage collection and (for the drill) a
 #: full leader-crash cycle.
@@ -128,10 +129,11 @@ def conservation_fingerprint(result: RunResult) -> str:
 
 
 def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario]:
-    """The eight stock scenarios: one representative point per Table-II
-    sweep, the metaplane drill, an online-mode run, and an SSD write-mix
+    """The nine stock scenarios: one representative point per Table-II
+    sweep, the metaplane drill, an online-mode run, an SSD write-mix
     run (32 MB buffer tier that overflows, so destage and GC run) both
-    healthy and with two buffer SSDs failing, one of them repaired."""
+    healthy and with two buffer SSDs failing, one of them repaired, and
+    a striped (width 2) HDD run whose node1 crashes and is repaired."""
 
     def synthetic(**overrides: object) -> Trace:
         workload = SyntheticWorkload(n_requests=n_requests, write_fraction=0.2)
@@ -190,6 +192,19 @@ def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario
             .disk_fail("node1/buffer", at=30.0)
             .disk_repair("node1/buffer", at=45.0)
             .disk_fail("node3/buffer", at=35.0),
+        )
+    )
+    # Striped HDD reads across a whole-node crash and repair: both
+    # stripe disks of a read fail together, so the all_of over the
+    # stripe reads sees a second failure after it has already fired.
+    scenarios.append(
+        RaceScenario(
+            "hdd:striped-node-crash",
+            synthetic(),
+            EEVFSConfig(stripe_width=2),
+            faults=FaultSchedule()
+            .node_fail("node1", at=5.0)
+            .node_repair("node1", at=20.0),
         )
     )
     return scenarios

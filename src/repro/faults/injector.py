@@ -145,7 +145,7 @@ class FaultInjector:
         t = self.sim.now
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.instant("fault", action.target, kind=action.kind)
+            tracer.instant("fault", action.target, fault=action.kind)
         if action.kind == DISK_FAIL:
             self._disk(action).fail()
             self.log.record(t, DISK_FAIL, action.target)

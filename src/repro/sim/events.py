@@ -227,6 +227,10 @@ class Condition(Event):
 
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
+            # Already fired: a later failed child is absorbed too, or the
+            # engine would re-raise a failure nobody is left to handle.
+            if not event._ok:
+                event._defused = True
             return
         self._count += 1
         if not event._ok:

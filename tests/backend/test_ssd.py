@@ -229,6 +229,21 @@ class TestFailureSemantics:
         failed = [r for r in requests if r.done.triggered and not r.done.ok]
         assert len(failed) == 4
 
+    def test_fail_before_a_failed_wake_starts(self):
+        """An injected failed wake queued behind fail() must leave the
+        FAILED state alone instead of raising IllegalTransition."""
+        sim = Simulator()
+        ssd = SSDBackend(sim, TINY, name="s")
+        assert ssd.request_sleep()
+        sim.run(until=1.0)
+        assert ssd.state is DiskState.STANDBY
+        ssd.inject_spinup_failures(1)
+        assert ssd.wake()
+        ssd.fail()
+        sim.run(until=5.0)
+        assert ssd.state is DiskState.FAILED
+        assert ssd.spinup_failures == 1
+
     def test_submit_to_failed_device_fails_immediately(self):
         sim = Simulator()
         ssd = SSDBackend(sim, TINY, name="s")

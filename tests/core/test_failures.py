@@ -101,6 +101,21 @@ class TestDriveFailure:
         assert outcomes == ["failed"]
         assert disk.state is DiskState.FAILED
 
+    def test_fail_before_a_failed_spinup_starts(self):
+        """An injected failed spin-up queued behind fail() must leave the
+        FAILED state alone instead of raising IllegalTransition."""
+        sim = Simulator()
+        disk = SimDisk(sim, SPEC)
+        assert disk.request_sleep()
+        sim.run()
+        assert disk.state is DiskState.STANDBY
+        disk.inject_spinup_failures(1)
+        assert disk.wake()
+        disk.fail()
+        sim.run()
+        assert disk.state is DiskState.FAILED
+        assert disk.spinup_failures == 1
+
     def test_fail_at_schedules_failure_but_is_deprecated(self):
         sim = Simulator()
         disk = SimDisk(sim, SPEC)
@@ -167,3 +182,21 @@ class TestClusterUnderFailure:
     def test_no_failures_without_injection(self, trace):
         result = EEVFSCluster(config=EEVFSConfig()).run(trace)
         assert result.requests_failed == 0
+
+
+def test_striped_read_survives_both_stripe_disks_failing():
+    """A striped read whose two data disks fail together: the all_of over
+    the stripe reads fires on the first failure and must absorb the
+    second, or the run dies with an unhandled DiskFailureError."""
+    trace = generate_synthetic_trace(
+        SyntheticWorkload(n_requests=400, inter_arrival_s=0.05),
+        rng=np.random.default_rng(1),
+    )
+    cluster = EEVFSCluster(
+        config=EEVFSConfig(stripe_width=2),
+        seed=1,
+        faults=FaultSchedule().node_fail("node1", at=5.0),
+    )
+    result = cluster.run(trace)
+    assert result.requests_total + result.requests_failed == trace.n_requests
+    assert result.requests_failed > 0

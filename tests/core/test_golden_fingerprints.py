@@ -2,16 +2,17 @@
 
 A determinism check that runs one commit twice and compares cannot see
 a change that shifts a number but stays deterministic.  This module
-runs ten scenarios and compares each run's
+runs eleven scenarios and compares each run's
 :func:`~repro.core.fingerprint.fingerprint` -- every field of the
 ``RunResult`` except the obs snapshot, floats to the bit -- with
 ``golden_fingerprints.json``, the fingerprints as last accepted:
 
-* the eight race-suite scenarios: one point from each Table-II sweep,
-  the metadata-plane leader-crash drill, online mode, and an SSD-buffer
+* the nine race-suite scenarios: one point from each Table-II sweep,
+  the metadata-plane leader-crash drill, online mode, an SSD-buffer
   write-mix point whose 32 MB tier overflows (so the write cache
   destages and garbage collection erases blocks), healthy and with two
-  buffer SSDs failing mid-run;
+  buffer SSDs failing mid-run, and striped (width 2) HDD reads across
+  a whole-node crash and repair;
 * an NPF point;
 * a replication fault drill (``replication_factor=2``): a node crash
   that background repair re-replicates around, then a data-disk failure
@@ -44,7 +45,7 @@ N_REQUESTS = 150
 
 
 def golden_scenarios():
-    """The race suite's eight scenarios plus NPF and replication."""
+    """The race suite's nine scenarios plus NPF and replication."""
     trace = generate_synthetic_trace(
         SyntheticWorkload(n_requests=N_REQUESTS, write_fraction=0.2)
     )

@@ -154,7 +154,7 @@ class TestScheduleInvariance:
 
 
 class TestRaceSuite:
-    def test_default_scenarios_cover_the_eight_targets(self):
+    def test_default_scenarios_cover_the_nine_targets(self):
         names = [s.name for s in default_scenarios(n_requests=10)]
         assert names == [
             "sweep:data_size=20MB",
@@ -165,6 +165,7 @@ class TestRaceSuite:
             "online:adaptive",
             "ssd:writemix",
             "ssd:buffer-fail",
+            "hdd:striped-node-crash",
         ]
 
     def test_one_scenario_end_to_end(self):

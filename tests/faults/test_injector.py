@@ -62,6 +62,19 @@ class TestTimeline:
             "disk_repair",
         ]
 
+    def test_fault_is_traced_with_obs_on(self):
+        """With observability attached, an applied fault is recorded as a
+        ``fault`` instant span tagged with its kind."""
+        cluster = EEVFSCluster(
+            obs=True, faults=FaultSchedule().disk_fail("node1/data0", at=5.0)
+        )
+        result = cluster.run(small_trace())
+        assert result.trace is not None
+        (span,) = result.trace.spans_of("fault")
+        assert span.track == "node1/data0"
+        assert span.tags["fault"] == "disk_fail"
+        assert span.start_s == pytest.approx(result.epoch_s + 5.0)
+
     def test_node_fail_marks_server_view_down_and_repair_up(self):
         schedule = (
             FaultSchedule().node_fail("node2", at=5.0).node_repair("node2", at=60.0)

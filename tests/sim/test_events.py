@@ -174,6 +174,35 @@ class TestConditions:
         sim.run()
         assert p.value == "caught child died"
 
+    def test_second_failed_child_is_absorbed(self, sim):
+        """Once the condition has fired, a later failed child must be
+        defused too; otherwise the engine re-raises it with nobody left
+        to handle it."""
+        first, second = sim.event(), sim.event()
+        caught = []
+
+        def proc():
+            try:
+                yield sim.all_of([first, second])
+            except ValueError as exc:
+                caught.append(str(exc))
+
+        sim.process(proc())
+        first.fail(ValueError("first"))
+        second.fail(ValueError("second"))
+        sim.run()
+        assert caught == ["first"]
+        assert second._defused
+
+    def test_failed_child_after_any_of_fired_is_absorbed(self, sim):
+        winner, loser = sim.event(), sim.event()
+        condition = sim.any_of([winner, loser])
+        winner.succeed("ok")
+        loser.fail(ValueError("late"))
+        sim.run()
+        assert condition.ok
+        assert loser._defused
+
     def test_events_from_different_simulators_rejected(self, sim):
         other = Simulator()
         with pytest.raises(ValueError):
