@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
-from typing import Any, Dict, Generator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,11 +32,10 @@ from repro.core.protocol import (
     WriteAck,
 )
 from repro.net.fabric import Fabric
+from repro.net.message import Message
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, URGENT
-from repro.sim.process import Process
 from repro.sim.monitor import TallyStat
-from repro.sim.resources import Resource
 from repro.traces.model import RequestOp, Trace
 
 #: Rejection reason a non-leader metadata server sends; the only failure
@@ -141,8 +140,9 @@ class ClientDriver:
         #: Requests already settled (success OR terminal failure); late
         #: replies from superseded attempts land here and are dropped.
         self._settled: Set[int] = set()
-        #: request_id -> completion event (closed-loop replay only).
-        self._waiters: Dict[int, object] = {}
+        #: request_id -> callable run when the request settles (closed
+        #: and paced replay).
+        self._waiters: Dict[int, Callable[[], object]] = {}
         self._replay_finished = False
         self._drained = sim.event()
         #: (request_id, file_id, served_by, response_s) per completion.
@@ -154,13 +154,13 @@ class ClientDriver:
         self.request_timeouts = 0
         self.requests_abandoned = 0
         self.duplicate_replies = 0
-        self._dispatcher = sim.process(self._dispatch_loop())
+        self.endpoint.serve(self._on_message)
 
     # -- public API --------------------------------------------------------------------
 
     def replay(
         self, trace: Trace, epoch_s: float = 0.0, mode: str = "open"
-    ) -> Process:
+    ) -> Event:
         """Start replaying *trace* offset to begin at *epoch_s*.
 
         Three replay disciplines:
@@ -177,7 +177,8 @@ class ClientDriver:
         * ``"closed"`` -- issue, block for the response, sleep the trace's
           inter-arrival gap, repeat (timestamps ignored, gaps honoured).
 
-        Returns a process that completes once every response has arrived.
+        Returns an event that succeeds with :attr:`response_times` once
+        every response has arrived.
         """
         if epoch_s < self.sim.now:
             raise ValueError(
@@ -186,7 +187,7 @@ class ClientDriver:
         if mode == "open":
             return self.sim.process(self._replay(trace, epoch_s))
         if mode == "paced":
-            return self.sim.process(self._replay_paced(trace, epoch_s))
+            return _PacedReplay(self, trace, epoch_s).done
         if mode == "closed":
             return self.sim.process(self._replay_closed(trace, epoch_s))
         raise ValueError(f"unknown replay mode: {mode!r}")
@@ -212,31 +213,6 @@ class ClientDriver:
             yield self._drained
         return self.response_times
 
-    def _replay_paced(
-        self, trace: Trace, epoch_s: float
-    ) -> Generator[Event, Any, TallyStat]:
-        slots = Resource(self.sim, capacity=self.max_outstanding)
-        for request in trace.requests:
-            target = epoch_s + request.time_s
-            if target > self.sim.now:
-                yield self.sim.timeout(target - self.sim.now)
-            slot = slots.request()
-            yield slot
-            request_id = next(self._request_ids)
-            done = self.sim.event()
-            self._waiters[request_id] = done
-            self._issue(request_id, request.file_id, request.op)
-            # Release the pacing slot straight from the completion event's
-            # callback -- no watcher process needed.
-            assert done.callbacks is not None
-            done.callbacks.append(
-                lambda _e, slots=slots, slot=slot: slots.release(slot)
-            )
-        self._replay_finished = True
-        if self._pending:
-            yield self._drained
-        return self.response_times
-
     def _replay_closed(
         self, trace: Trace, epoch_s: float
     ) -> Generator[Event, Any, TallyStat]:
@@ -251,7 +227,7 @@ class ClientDriver:
             previous_t = request.time_s
             request_id = next(self._request_ids)
             done = self.sim.event()
-            self._waiters[request_id] = done
+            self._waiters[request_id] = done.succeed
             self._issue(request_id, request.file_id, request.op)
             yield done
         self._replay_finished = True
@@ -370,7 +346,7 @@ class ClientDriver:
             tracer.end_request(request_id, ok=False, reason=reason)
         waiter = self._waiters.pop(request_id, None)
         if waiter is not None:
-            waiter.succeed()
+            waiter()
         if self._replay_finished and not self._pending:
             self._drained.succeed()
 
@@ -382,53 +358,132 @@ class ClientDriver:
 
     # -- the response plane ----------------------------------------------------------------
 
-    def _dispatch_loop(self) -> Generator[Event, Any, None]:
-        while True:
-            message = yield self.endpoint.receive()
-            payload = message.payload
-            if isinstance(payload, (FileData, WriteAck)):
-                if payload.request_id in self._settled:
-                    # A superseded attempt answering after the request
-                    # already settled (e.g. a timed-out server came back).
-                    self.duplicate_replies += 1
-                    continue
-                issued = self._pending.pop(payload.request_id, None)
-                if issued is None:  # pragma: no cover - defensive
-                    raise KeyError(f"response for unknown request {payload!r}")
-                self._settled.add(payload.request_id)
-                elapsed = self.sim.now - issued
-                self.response_times.record(elapsed)
-                if isinstance(payload, FileData):
-                    self.latency_components["disk_s"].record(payload.disk_time_s)
-                    self.latency_components["node_other_s"].record(
-                        max(0.0, payload.node_time_s - payload.disk_time_s)
-                    )
-                    self.latency_components["network_server_s"].record(
-                        max(0.0, elapsed - payload.node_time_s)
-                    )
-                self.completions.append(
-                    (payload.request_id, payload.file_id, payload.served_by, elapsed)
-                )
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.end_request(
-                        payload.request_id, ok=True, served_by=payload.served_by
-                    )
-                waiter = self._waiters.pop(payload.request_id, None)
-                if waiter is not None:
-                    waiter.succeed()
-                if self._replay_finished and not self._pending:
-                    self._drained.succeed()
-            elif isinstance(payload, RequestFailed):
-                if (
-                    payload.request_id in self._settled
-                    or payload.request_id not in self._pending
-                ):
-                    self.duplicate_replies += 1
-                    continue
+    def _on_message(self, message: Message) -> None:
+        """Mailbox handler: settle (or retry) the request a reply names."""
+        payload = message.payload
+        if isinstance(payload, (FileData, WriteAck)):
+            if payload.request_id in self._settled:
+                # A superseded attempt answering after the request
+                # already settled (e.g. a timed-out server came back).
+                self.duplicate_replies += 1
+            else:
+                self._settle_success(payload)
+        elif isinstance(payload, RequestFailed):
+            if (
+                payload.request_id in self._settled
+                or payload.request_id not in self._pending
+            ):
+                self.duplicate_replies += 1
+            else:
                 if payload.reason == NOT_LEADER:
                     # Routing problem: learn where leadership went.
                     self.router.note_failure(payload.file_id, payload.hint)
                 self._failure_signal(payload.request_id, payload.reason)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"client cannot handle {payload!r}")
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"client cannot handle {payload!r}")
+        self.endpoint.next()
+
+    def _settle_success(self, payload: "FileData | WriteAck") -> None:
+        issued = self._pending.pop(payload.request_id, None)
+        if issued is None:  # pragma: no cover - defensive
+            raise KeyError(f"response for unknown request {payload!r}")
+        self._settled.add(payload.request_id)
+        elapsed = self.sim.now - issued
+        self.response_times.record(elapsed)
+        if isinstance(payload, FileData):
+            self.latency_components["disk_s"].record(payload.disk_time_s)
+            self.latency_components["node_other_s"].record(
+                max(0.0, payload.node_time_s - payload.disk_time_s)
+            )
+            self.latency_components["network_server_s"].record(
+                max(0.0, elapsed - payload.node_time_s)
+            )
+        self.completions.append(
+            (payload.request_id, payload.file_id, payload.served_by, elapsed)
+        )
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.end_request(
+                payload.request_id, ok=True, served_by=payload.served_by
+            )
+        waiter = self._waiters.pop(payload.request_id, None)
+        if waiter is not None:
+            waiter()
+        if self._replay_finished and not self._pending:
+            self._drained.succeed()
+
+
+class _PacedReplay:
+    """The ``"paced"`` replay as callbacks: each trace arrival fires on
+    ``call_later`` at its timestamp and is issued once fewer than
+    ``max_outstanding`` requests are unsettled.
+
+    The kick-off is URGENT, a window grant is a ``call_soon`` and a
+    settled request frees its slot through a ``call_soon``: the dispatch
+    order of a replay process pacing itself on a resource with
+    ``max_outstanding`` slots, which the golden fingerprints pin.
+    ``done`` succeeds with the client's response times once the whole
+    trace has been issued and settled.
+    """
+
+    __slots__ = ("client", "requests", "epoch_s", "index", "in_flight", "blocked", "done")
+
+    def __init__(self, client: ClientDriver, trace: Trace, epoch_s: float) -> None:
+        self.client = client
+        self.requests = trace.requests
+        self.epoch_s = epoch_s
+        #: Next trace request to issue.
+        self.index = 0
+        #: Window slots held (issued, not yet settled).
+        self.in_flight = 0
+        #: An arrival is waiting for a window slot.
+        self.blocked = False
+        self.done = client.sim.event()
+        client.sim.call_soon(self._next_arrival, priority=URGENT)
+
+    def _next_arrival(self, _value: Any = None) -> None:
+        client = self.client
+        sim = client.sim
+        if self.index == len(self.requests):
+            client._replay_finished = True
+            if client._pending:
+                assert client._drained.callbacks is not None
+                client._drained.callbacks.append(self._finish)
+            else:
+                self._finish(None)
+            return
+        target = self.epoch_s + self.requests[self.index].time_s
+        if target > sim.now:
+            sim.call_later(target - sim.now, self._arrive)
+        else:
+            self._arrive(None)
+
+    def _arrive(self, _value: Any) -> None:
+        if self.in_flight < self.client.max_outstanding:
+            self.in_flight += 1
+            self.client.sim.call_soon(self._granted)
+        else:
+            self.blocked = True
+
+    def _granted(self, _value: Any) -> None:
+        client = self.client
+        request = self.requests[self.index]
+        self.index += 1
+        request_id = next(client._request_ids)
+        client._waiters[request_id] = self._settled
+        client._issue(request_id, request.file_id, request.op)
+        self._next_arrival()
+
+    def _settled(self) -> None:
+        self.client.sim.call_soon(self._release)
+
+    def _release(self, _value: Any) -> None:
+        if self.blocked:
+            # The slot passes straight to the waiting arrival.
+            self.blocked = False
+            self.client.sim.call_soon(self._granted)
+        else:
+            self.in_flight -= 1
+
+    def _finish(self, _value: Any) -> None:
+        self.done.succeed(self.client.response_times)

@@ -19,8 +19,7 @@ the draining disk.
 
 from __future__ import annotations
 
-from dataclasses import replace as replace_dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from repro.core.protocol import (
     AccessHints,
     CreateFile,
     FileData,
-    FileRequest,
     ForwardedRequest,
     PrefetchCommand,
     PrefetchComplete,
@@ -52,9 +50,13 @@ from repro.disk.drive import (
     RequestKind,
 )
 from repro.net.fabric import Fabric
+from repro.net.message import Message
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, URGENT
 from repro.traces.model import RequestOp
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.tracer import Span
 
 
 class StorageNode:
@@ -140,7 +142,7 @@ class StorageNode:
         #: file_id -> the RepairCommand we are executing (awaiting data).
         self._pending_repairs: Dict[int, RepairCommand] = {}
 
-        self._main = sim.process(self._main_loop())
+        self.endpoint.serve(self._on_message)
         self._destager = (
             sim.process(self._destage_loop())
             if (config.write_buffering and config.destage_enabled)
@@ -290,34 +292,40 @@ class StorageNode:
 
     # -- the node process ----------------------------------------------------------------
 
-    def _main_loop(self) -> Generator[Event, Any, None]:
-        while True:
-            message = yield self.endpoint.receive()
-            payload = message.payload
-            if self.crashed:
-                self._refuse(payload)
-                continue
-            if isinstance(payload, CreateFile):
-                self.metadata.create(
-                    payload.file_id, payload.size_bytes, disk=payload.target_disk
-                )
-            elif isinstance(payload, PrefetchCommand):
-                # Blocking on the copy loop is intentional: the server
-                # does not release the workload until every node acks.
-                yield self.sim.process(self._do_prefetch(payload))
-            elif isinstance(payload, AccessHints):
-                self._install_hints(payload)
-            elif isinstance(payload, ForwardedRequest):
-                # Serve concurrently; different disks must overlap.
-                self.sim.process(self._serve(payload))
-            elif isinstance(payload, RepairCommand):
-                self.sim.process(self._start_repair(payload))
-            elif isinstance(payload, ReplicaPull):
-                self.sim.process(self._serve_pull(payload))
-            elif isinstance(payload, ReplicaData):
-                self.sim.process(self._finish_repair(payload))
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"storage node cannot handle {payload!r}")
+    def _on_message(self, message: Message) -> None:
+        """Mailbox handler: one inbound message at a time."""
+        payload = message.payload
+        if self.crashed:
+            self._refuse(payload)
+        elif isinstance(payload, CreateFile):
+            self.metadata.create(
+                payload.file_id, payload.size_bytes, disk=payload.target_disk
+            )
+        elif isinstance(payload, PrefetchCommand):
+            # Holding the mailbox across the copy loop is intentional:
+            # the server does not release the workload until every
+            # node acks.
+            copy = self.sim.process(self._do_prefetch(payload))
+            assert copy.callbacks is not None
+            copy.callbacks.append(self._prefetch_finished)
+            return
+        elif isinstance(payload, AccessHints):
+            self._install_hints(payload)
+        elif isinstance(payload, ForwardedRequest):
+            # Serve concurrently; different disks must overlap.
+            _Serve(self, payload)
+        elif isinstance(payload, RepairCommand):
+            self.sim.process(self._start_repair(payload))
+        elif isinstance(payload, ReplicaPull):
+            self.sim.process(self._serve_pull(payload))
+        elif isinstance(payload, ReplicaData):
+            self.sim.process(self._finish_repair(payload))
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"storage node cannot handle {payload!r}")
+        self.endpoint.next()
+
+    def _prefetch_finished(self, _copy: Event) -> None:
+        self.endpoint.next()
 
     # -- prefetch (Fig. 2 step 3) -----------------------------------------------------------
 
@@ -537,131 +545,6 @@ class StorageNode:
 
     # -- request service (Fig. 2 steps 5-6) -------------------------------------------------------
 
-    def _serve(self, forwarded: ForwardedRequest) -> Generator[Event, Any, None]:
-        """Wrap :meth:`_serve_inner` in a ``node.dispatch`` span when
-        observability is attached; otherwise delegate at zero cost."""
-        tracer = self.sim.tracer
-        if tracer is None:
-            yield from self._serve_inner(forwarded)
-            return
-        request = forwarded.request
-        span = tracer.begin(
-            "node.dispatch",
-            self.spec.name,
-            parent=tracer.request_span(request.request_id),
-            file_id=request.file_id,
-            op=request.op.name,
-        )
-        try:
-            yield from self._serve_inner(forwarded)
-        finally:
-            tracer.end(span)
-
-    def _serve_inner(self, forwarded: ForwardedRequest) -> Generator[Event, Any, None]:
-        request = forwarded.request
-        if self.config.node_overhead_s > 0:
-            yield self.sim.timeout(self.config.node_overhead_s)
-        # Advance the node's request-stream clock (sequence counter +
-        # inter-arrival EWMA) before any routing decision.
-        self.power.note_node_arrival()
-        entered_at = self.sim.now
-
-        try:
-            reply, reply_size, disk_index = yield from self._serve_io(request)
-            if isinstance(reply, FileData):
-                reply = replace_dataclass(
-                    reply,
-                    node_time_s=self.sim.now - entered_at + self.config.node_overhead_s,
-                )
-        except DiskFailureError as failure:
-            self.requests_failed += 1
-            if forwarded.silent:
-                # A lost fan-out write copy is the repair loop's problem,
-                # not the client's: the primary already acked.
-                return
-            if forwarded.failover:
-                # Degraded read/write: hand the request to the next live
-                # holder.  (Stands in for the client's retry-on-timeout;
-                # collapsing it keeps the failure path deterministic.)
-                self.requests_failed_over += 1
-                yield self.fabric.send(
-                    self.spec.name,
-                    forwarded.failover[0],
-                    ForwardedRequest(
-                        request=request, failover=forwarded.failover[1:]
-                    ),
-                )
-                return
-            reply = RequestFailed(
-                request_id=request.request_id,
-                file_id=request.file_id,
-                reason=str(failure),
-            )
-            reply_size = None
-            disk_index = None
-        if forwarded.silent:
-            # Fan-out copy applied; only the primary replies.
-            return
-        self.requests_served += 1
-        # A drained disk is a fresh sleep opportunity.
-        if disk_index is not None:
-            for target in self.metadata.stripe_disks(request.file_id):
-                self.power.evaluate(target)
-        if reply_size is None:
-            yield self.fabric.send(self.spec.name, request.client, reply)
-        else:
-            yield self.fabric.send(
-                self.spec.name, request.client, reply, size_bytes=reply_size
-            )
-
-    def _serve_io(
-        self, request: FileRequest
-    ) -> Generator[Event, Any, Tuple[object, Optional[int], Optional[int]]]:
-        """The I/O half of :meth:`_serve`; raises DiskFailureError when a
-        needed drive is dead.  Returns (reply, reply_size, disk_index)."""
-        file_id = request.file_id
-        size = self.metadata.size_of(file_id)
-        if request.op is RequestOp.WRITE:
-            served_by = yield from self._serve_write(file_id, size)
-            reply: object = WriteAck(
-                request_id=request.request_id, file_id=file_id, served_by=served_by
-            )
-            return reply, None, None  # control-sized ack
-        else:
-            disk_index, served_by = self._route_read(file_id)
-            targets = [] if disk_index is None else self.metadata.stripe_disks(file_id)
-            # Consume the prediction entries and probe sleep opportunities
-            # across all disks *at request entry* (§VI-A).
-            for target in targets:
-                self.power.note_arrival(target)
-            self.power.evaluate_all(exclude=targets or None)
-            disk_started = self.sim.now
-            if disk_index is None:
-                io = self.buffer_disk.submit(
-                    size, kind=RequestKind.READ, tag=("read", file_id)
-                )
-                yield io.done
-            else:
-                # One stripe read per disk, in parallel; the request
-                # completes when the slowest stripe lands.
-                stripe = self.metadata.stripe_size_bytes(file_id)
-                ios = [
-                    self.data_disks[target].submit(
-                        stripe, kind=RequestKind.READ, tag=("read", file_id)
-                    )
-                    for target in targets
-                ]
-                yield self.sim.all_of([io.done for io in ios])
-            self._after_read(file_id, disk_index)
-            reply = FileData(
-                request_id=request.request_id,
-                file_id=file_id,
-                size_bytes=size,
-                served_by=served_by,
-                disk_time_s=self.sim.now - disk_started,
-            )
-            return reply, size, disk_index
-
     def _route_read(self, file_id: int) -> Tuple[Optional[int], str]:
         """Pick the serving medium for a read: buffer copy, staged write,
         or the owning data disk.  (Overridden by caching baselines.)"""
@@ -678,38 +561,6 @@ class StorageNode:
         The EEVFS node does nothing here; on-demand caching baselines
         (MAID) use it to admit the just-read file into their cache.
         """
-
-    def _serve_write(self, file_id: int, size: int) -> Generator[Event, Any, str]:
-        """Write path: stage to the buffer disk when allowed and it fits;
-        otherwise write through to the data disk (waking it if needed)."""
-        use_buffer = (
-            self.config.write_buffering
-            and self.config.prefetch_enabled
-            and self.write_buffer.can_stage(size)
-        )
-        if use_buffer:
-            self.write_buffer.stage(file_id, size, time_s=self.sim.now)
-            io = self.buffer_disk.submit(
-                size, kind=RequestKind.WRITE, sequential=True, tag=("write", file_id)
-            )
-            yield io.done
-            self.writes_buffered += 1
-            return "buffer"
-        targets = self.metadata.stripe_disks(file_id)
-        stripe = self.metadata.stripe_size_bytes(file_id)
-        for target in targets:
-            self.power.note_arrival(target)
-        ios = [
-            self.data_disks[target].submit(
-                stripe, kind=RequestKind.WRITE, tag=("write", file_id)
-            )
-            for target in targets
-        ]
-        yield self.sim.all_of([io.done for io in ios])
-        self.writes_direct += 1
-        for target in targets:
-            self.power.evaluate(target)
-        return f"data{targets[0]}"
 
     # -- repair data plane (repro.replication) ------------------------------------------
 
@@ -829,3 +680,260 @@ class StorageNode:
         if not awake:
             return None
         return min(awake, key=lambda i: (self.data_disks[i].inflight, i))
+
+
+class _Serve:
+    """One forwarded request through a node (Fig. 2 steps 5-6).
+
+    A callback chain: an URGENT kick-off, ``node_overhead_s`` on
+    ``call_later``, the disk I/O, then the reply.  A single I/O resumes
+    at its ``done`` event's own slot; a striped one counts completions
+    and takes one ``call_soon`` hop after the last child -- or after the
+    first failed one, absorbing every later failure -- as an ``all_of``
+    would.  These slots are the dispatch order of a per-request process,
+    which the golden fingerprints pin.
+    """
+
+    __slots__ = (
+        "node",
+        "forwarded",
+        "span",
+        "entered_at",
+        "size",
+        "targets",
+        "disk_started",
+        "disk_index",
+        "served_by",
+        "then",
+        "remaining",
+        "fired",
+    )
+
+    def __init__(self, node: StorageNode, forwarded: ForwardedRequest) -> None:
+        self.node = node
+        self.forwarded = forwarded
+        node.sim.call_soon(self._start, priority=URGENT)
+
+    def _start(self, _value: Any) -> None:
+        node = self.node
+        tracer = node.sim.tracer
+        self.span: Optional["Span"] = None
+        if tracer is not None:
+            request = self.forwarded.request
+            self.span = tracer.begin(
+                "node.dispatch",
+                node.spec.name,
+                parent=tracer.request_span(request.request_id),
+                file_id=request.file_id,
+                op=request.op.name,
+            )
+        if node.config.node_overhead_s > 0:
+            node.sim.call_later(node.config.node_overhead_s, self._enter)
+        else:
+            self._enter(None)
+
+    def _enter(self, _value: Any) -> None:
+        node = self.node
+        # Advance the node's request-stream clock (sequence counter +
+        # inter-arrival EWMA) before any routing decision.
+        node.power.note_node_arrival()
+        self.entered_at = node.sim.now
+        request = self.forwarded.request
+        file_id = request.file_id
+        self.size = size = node.metadata.size_of(file_id)
+        if request.op is RequestOp.WRITE:
+            self._write(file_id, size)
+            return
+        disk_index, self.served_by = node._route_read(file_id)
+        self.disk_index = disk_index
+        targets = [] if disk_index is None else node.metadata.stripe_disks(file_id)
+        # Consume the prediction entries and probe sleep opportunities
+        # across all disks *at request entry* (§VI-A).
+        for target in targets:
+            node.power.note_arrival(target)
+        node.power.evaluate_all(exclude=targets or None)
+        self.disk_started = node.sim.now
+        if disk_index is None:
+            io = node.buffer_disk.submit(size, kind=RequestKind.READ, tag=("read", file_id))
+            self._wait_one(io.done, self._read_done)
+        else:
+            # One stripe read per disk, in parallel; the request
+            # completes when the slowest stripe lands.
+            stripe = node.metadata.stripe_size_bytes(file_id)
+            self._wait_all(
+                [
+                    node.data_disks[target]
+                    .submit(stripe, kind=RequestKind.READ, tag=("read", file_id))
+                    .done
+                    for target in targets
+                ],
+                self._read_done,
+            )
+
+    def _read_done(self, _value: Any) -> None:
+        node = self.node
+        request = self.forwarded.request
+        file_id = request.file_id
+        node._after_read(file_id, self.disk_index)
+        now = node.sim.now
+        reply = FileData(
+            request_id=request.request_id,
+            file_id=file_id,
+            size_bytes=self.size,
+            served_by=self.served_by,
+            node_time_s=now - self.entered_at + node.config.node_overhead_s,
+            disk_time_s=now - self.disk_started,
+        )
+        self._reply(reply, self.size, self.disk_index)
+
+    def _write(self, file_id: int, size: int) -> None:
+        """Write path: stage to the buffer disk when allowed and it fits;
+        otherwise write through to the data disks (waking them if needed)."""
+        node = self.node
+        config = node.config
+        if (
+            config.write_buffering
+            and config.prefetch_enabled
+            and node.write_buffer.can_stage(size)
+        ):
+            node.write_buffer.stage(file_id, size, time_s=node.sim.now)
+            io = node.buffer_disk.submit(
+                size, kind=RequestKind.WRITE, sequential=True, tag=("write", file_id)
+            )
+            self._wait_one(io.done, self._buffered_write_done)
+            return
+        self.targets = targets = node.metadata.stripe_disks(file_id)
+        stripe = node.metadata.stripe_size_bytes(file_id)
+        for target in targets:
+            node.power.note_arrival(target)
+        self._wait_all(
+            [
+                node.data_disks[target]
+                .submit(stripe, kind=RequestKind.WRITE, tag=("write", file_id))
+                .done
+                for target in targets
+            ],
+            self._direct_write_done,
+        )
+
+    def _buffered_write_done(self, _value: Any) -> None:
+        self.node.writes_buffered += 1
+        self._ack("buffer")
+
+    def _direct_write_done(self, _value: Any) -> None:
+        node = self.node
+        node.writes_direct += 1
+        targets = self.targets
+        for target in targets:
+            node.power.evaluate(target)
+        self._ack(f"data{targets[0]}")
+
+    def _ack(self, served_by: str) -> None:
+        request = self.forwarded.request
+        reply = WriteAck(
+            request_id=request.request_id, file_id=request.file_id, served_by=served_by
+        )
+        self._reply(reply, None, None)  # control-sized ack
+
+    # -- waiting on disk I/O ---------------------------------------------------------
+
+    def _wait_one(self, done: Event, then: Callable[[Any], None]) -> None:
+        self.then = then
+        assert done.callbacks is not None
+        done.callbacks.append(self._one_done)
+
+    def _one_done(self, done: Event) -> None:
+        if done._ok:
+            self.then(None)
+            return
+        done._defused = True
+        assert done._exc is not None
+        self._io_failed(done._exc)
+
+    def _wait_all(self, dones: List[Event], then: Callable[[Any], None]) -> None:
+        self.then = then
+        self.remaining = len(dones)
+        self.fired = False
+        for done in dones:
+            assert done.callbacks is not None
+            done.callbacks.append(self._child_done)
+
+    def _child_done(self, done: Event) -> None:
+        if not done._ok:
+            done._defused = True
+        if self.fired:
+            return
+        if not done._ok:
+            self.fired = True
+            self.node.sim.call_soon(self._io_failed, done._exc)
+            return
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.fired = True
+            self.node.sim.call_soon(self.then)
+
+    def _io_failed(self, failure: BaseException) -> None:
+        """A needed drive is dead: fail over, drop a silent copy, or
+        answer the client with a RequestFailed."""
+        if not isinstance(failure, DiskFailureError):
+            raise failure
+        node = self.node
+        forwarded = self.forwarded
+        request = forwarded.request
+        node.requests_failed += 1
+        if forwarded.silent:
+            # A lost fan-out write copy is the repair loop's problem,
+            # not the client's: the primary already acked.
+            self._end_span()
+            return
+        if forwarded.failover:
+            # Degraded read/write: hand the request to the next live
+            # holder.  (Stands in for the client's retry-on-timeout;
+            # collapsing it keeps the failure path deterministic.)
+            node.requests_failed_over += 1
+            self._send(
+                forwarded.failover[0],
+                ForwardedRequest(request=request, failover=forwarded.failover[1:]),
+                None,
+            )
+            return
+        reply = RequestFailed(
+            request_id=request.request_id,
+            file_id=request.file_id,
+            reason=str(failure),
+        )
+        self._reply(reply, None, None)
+
+    # -- the reply ---------------------------------------------------------------------
+
+    def _reply(self, reply: object, reply_size: Optional[int], disk_index: Optional[int]) -> None:
+        node = self.node
+        forwarded = self.forwarded
+        if forwarded.silent:
+            # Fan-out copy applied; only the primary replies.
+            self._end_span()
+            return
+        node.requests_served += 1
+        # A drained disk is a fresh sleep opportunity.
+        if disk_index is not None:
+            for target in node.metadata.stripe_disks(forwarded.request.file_id):
+                node.power.evaluate(target)
+        self._send(forwarded.request.client, reply, reply_size)
+
+    def _send(self, dst: str, payload: object, size_bytes: Optional[int]) -> None:
+        """Send, and with a tracer attached end ``node.dispatch`` when the
+        message is delivered."""
+        node = self.node
+        if self.span is None:
+            node.fabric.send_nowait(node.spec.name, dst, payload, size_bytes=size_bytes)
+            return
+        delivered = node.fabric.send(node.spec.name, dst, payload, size_bytes=size_bytes)
+        assert delivered.callbacks is not None
+        delivered.callbacks.append(self._end_span)
+
+    def _end_span(self, _event: Optional[Event] = None) -> None:
+        span = self.span
+        if span is not None:
+            tracer = self.node.sim.tracer
+            if tracer is not None:
+                tracer.end(span)

@@ -16,7 +16,7 @@ as a load balancer and access point for all of the storage nodes".  It:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from repro.core.config import EEVFSConfig
 from repro.core.metadata import ServerMetadata
@@ -40,6 +40,7 @@ from repro.core.protocol import (
     RequestFailed,
 )
 from repro.net.fabric import Fabric
+from repro.net.message import Message
 from repro.replication.policy import plan_replicas
 from repro.replication.repair import ReplicationManager
 from repro.sim.engine import Simulator
@@ -47,6 +48,9 @@ from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.traces.logio import AccessLog
 from repro.traces.model import RequestOp, Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.tracer import Span
 
 SERVER_NAME = "server"
 
@@ -119,7 +123,10 @@ class StorageServer:
         self._catalog: List[int] = []
         self._prefetch_acks_pending = 0
         self._prefetch_all_acked: Optional[Event] = None
-        self._main = sim.process(self._main_loop())
+        #: The open ``server.lookup`` span of the request being looked up
+        #: (obs only; the mailbox serialises lookups).
+        self._lookup_span: Optional[Span] = None
+        self.endpoint.serve(self._on_message)
 
     @property
     def catalog(self) -> List[int]:
@@ -311,76 +318,85 @@ class StorageServer:
 
     # -- request plane (steps 5-6) -----------------------------------------------------
 
-    def _main_loop(self) -> Generator[Event, Any, None]:
-        while True:
-            message = yield self.endpoint.receive()
-            payload = message.payload
-            if isinstance(payload, FileRequest):
-                # Lookup + forward; per-request CPU overhead serialises
-                # here, which is exactly the server-bottleneck concern
-                # §III-A raises (and simplifying the server mitigates).
-                tracer = self.sim.tracer
-                lookup = None
-                if tracer is not None:
-                    lookup = tracer.begin(
-                        "server.lookup",
-                        self.name,
-                        parent=tracer.request_span(payload.request_id),
-                        file_id=payload.file_id,
-                    )
-                if self.config.server_overhead_s > 0:
-                    yield self.sim.timeout(self.config.server_overhead_s)
-                self.online_log.append(self.sim.now, payload.file_id)
-                if self.config.online_mode and self.popularity_source is not None:
-                    # Feed the streaming estimator -- the only popularity
-                    # signal the system has without the oracle.
-                    self.popularity_source.record(self.sim.now, payload.file_id)
-                holders = self.metadata.live_holders(payload.file_id)
-                if not holders:
-                    # Every holder is down: fail fast rather than strand
-                    # the client waiting on a crashed node.
-                    self.requests_unroutable += 1
-                    self.fabric.send_nowait(
-                        self.name,
-                        payload.client,
-                        RequestFailed(
-                            request_id=payload.request_id,
-                            file_id=payload.file_id,
-                            reason="no live holder",
-                        ),
-                    )
-                    if lookup is not None:
-                        tracer.end(lookup, routed=False)
-                    continue
-                primary, backups = holders[0], tuple(holders[1:])
+    def _on_message(self, message: Message) -> None:
+        """Mailbox handler: one inbound message at a time."""
+        payload = message.payload
+        if isinstance(payload, FileRequest):
+            # Lookup + forward; per-request CPU overhead serialises
+            # here (the mailbox is held across it), which is exactly the
+            # server-bottleneck concern §III-A raises (and simplifying
+            # the server mitigates).
+            tracer = self.sim.tracer
+            if tracer is not None:
+                self._lookup_span = tracer.begin(
+                    "server.lookup",
+                    self.name,
+                    parent=tracer.request_span(payload.request_id),
+                    file_id=payload.file_id,
+                )
+            if self.config.server_overhead_s > 0:
+                self.sim.call_later(
+                    self.config.server_overhead_s, self._forward, payload
+                )
+            else:
+                self._forward(payload)
+            return
+        if isinstance(payload, PrefetchComplete):
+            self._prefetch_acks_pending -= 1
+            if self._prefetch_acks_pending == 0 and self._prefetch_all_acked:
+                self._prefetch_all_acked.succeed()
+        elif isinstance(payload, RepairComplete):
+            if self.repairer is not None:
+                self.repairer.on_complete(payload)
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"server cannot handle {payload!r}")
+        self.endpoint.next()
+
+    def _forward(self, payload: FileRequest) -> None:
+        """Route one looked-up request to its primary holder (and fan a
+        replicated write out), then take the next message."""
+        tracer = self.sim.tracer
+        lookup, self._lookup_span = self._lookup_span, None
+        self.online_log.append(self.sim.now, payload.file_id)
+        if self.config.online_mode and self.popularity_source is not None:
+            # Feed the streaming estimator -- the only popularity
+            # signal the system has without the oracle.
+            self.popularity_source.record(self.sim.now, payload.file_id)
+        holders = self.metadata.live_holders(payload.file_id)
+        if not holders:
+            # Every holder is down: fail fast rather than strand
+            # the client waiting on a crashed node.
+            self.requests_unroutable += 1
+            self.fabric.send_nowait(
+                self.name,
+                payload.client,
+                RequestFailed(
+                    request_id=payload.request_id,
+                    file_id=payload.file_id,
+                    reason="no live holder",
+                ),
+            )
+            if lookup is not None and tracer is not None:
+                tracer.end(lookup, routed=False)
+            self.endpoint.next()
+            return
+        primary, backups = holders[0], tuple(holders[1:])
+        self.fabric.send_nowait(
+            self.name,
+            primary,
+            ForwardedRequest(request=payload, failover=backups),
+        )
+        self.requests_forwarded += 1
+        if lookup is not None and tracer is not None:
+            tracer.end(lookup, routed=True, node=primary)
+        # Replicated writes fan out silently to the other holders
+        # so replicas never go stale; only the primary replies.
+        if payload.op is RequestOp.WRITE and self.config.replicate_writes and backups:
+            for holder in backups:
                 self.fabric.send_nowait(
                     self.name,
-                    primary,
-                    ForwardedRequest(request=payload, failover=backups),
+                    holder,
+                    ForwardedRequest(request=payload, silent=True),
                 )
-                self.requests_forwarded += 1
-                if lookup is not None:
-                    tracer.end(lookup, routed=True, node=primary)
-                # Replicated writes fan out silently to the other holders
-                # so replicas never go stale; only the primary replies.
-                if (
-                    payload.op is RequestOp.WRITE
-                    and self.config.replicate_writes
-                    and backups
-                ):
-                    for holder in backups:
-                        self.fabric.send_nowait(
-                            self.name,
-                            holder,
-                            ForwardedRequest(request=payload, silent=True),
-                        )
-                        self.writes_fanned_out += 1
-            elif isinstance(payload, PrefetchComplete):
-                self._prefetch_acks_pending -= 1
-                if self._prefetch_acks_pending == 0 and self._prefetch_all_acked:
-                    self._prefetch_all_acked.succeed()
-            elif isinstance(payload, RepairComplete):
-                if self.repairer is not None:
-                    self.repairer.on_complete(payload)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"server cannot handle {payload!r}")
+                self.writes_fanned_out += 1
+        self.endpoint.next()

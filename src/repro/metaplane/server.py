@@ -44,12 +44,14 @@ from repro.metaplane.messages import (
     VoteReply,
 )
 from repro.net.fabric import Fabric
+from repro.net.message import Message
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.traces.model import RequestOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metaplane.plane import MetaPlane
+    from repro.obs.tracer import Span
 
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
@@ -105,7 +107,10 @@ class MetadataServer:
         self.leader_hint: Optional[str] = None
         self._election_deadline = 0.0
         self._reset_election_deadline()
-        self.sim.process(self._main_loop())
+        #: The open ``server.lookup`` span of the request being looked up
+        #: (obs only; the mailbox serialises lookups).
+        self._lookup_span: Optional["Span"] = None
+        self.endpoint.serve(self._on_message)
         self.sim.process(self._election_loop())
 
     @property
@@ -302,24 +307,25 @@ class MetadataServer:
 
     # -- message plane -------------------------------------------------------------------
 
-    def _main_loop(self) -> Generator[Event, Any, None]:
-        while True:
-            message = yield self.endpoint.receive()
-            if not self.alive:
-                continue  # a crashed process answers nothing
-            payload = message.payload
-            if isinstance(payload, FileRequest):
-                yield from self._handle_request(payload)
-            elif isinstance(payload, VoteRequest):
-                self._on_vote_request(payload)
-            elif isinstance(payload, VoteReply):
-                self._on_vote_reply(payload)
-            elif isinstance(payload, AppendEntries):
-                self._on_append(payload)
-            elif isinstance(payload, AppendReply):
-                self._on_append_reply(payload)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"metadata server cannot handle {payload!r}")
+    def _on_message(self, message: Message) -> None:
+        """Mailbox handler: one inbound message at a time."""
+        payload = message.payload
+        if not self.alive:
+            pass  # a crashed process answers nothing
+        elif isinstance(payload, FileRequest):
+            self._handle_request(payload)
+            return  # _handle_request takes the next message itself
+        elif isinstance(payload, VoteRequest):
+            self._on_vote_request(payload)
+        elif isinstance(payload, VoteReply):
+            self._on_vote_reply(payload)
+        elif isinstance(payload, AppendEntries):
+            self._on_append(payload)
+        elif isinstance(payload, AppendReply):
+            self._on_append_reply(payload)
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"metadata server cannot handle {payload!r}")
+        self.endpoint.next()
 
     # -- consensus handlers ----------------------------------------------------------
 
@@ -406,9 +412,7 @@ class MetadataServer:
 
     # -- request plane (the StorageServer forwarding path, sharded) ---------------------
 
-    def _handle_request(
-        self, payload: FileRequest
-    ) -> Generator[Event, Any, None]:
+    def _handle_request(self, payload: FileRequest) -> None:
         if self.role != LEADER:
             self.plane.note_rejection(self.shard)
             self.fabric.send_nowait(
@@ -421,21 +425,28 @@ class MetadataServer:
                     hint=None if self.leader_hint == self.name else self.leader_hint,
                 ),
             )
+            self.endpoint.next()
             return
         tracer = self.sim.tracer
-        lookup = None
         if tracer is not None:
-            lookup = tracer.begin(
+            self._lookup_span = tracer.begin(
                 "server.lookup",
                 self.name,
                 parent=tracer.request_span(payload.request_id),
                 file_id=payload.file_id,
                 shard=self.shard,
             )
-        # Serialised in the main loop: the per-request CPU cost queues
+        # Serialised by the mailbox: the per-request CPU cost queues
         # here, so each shard is its own (smaller) §III-A bottleneck.
         if self.config.server_overhead_s > 0:
-            yield self.sim.timeout(self.config.server_overhead_s)
+            self.sim.call_later(self.config.server_overhead_s, self._forward, payload)
+        else:
+            self._forward(payload)
+
+    def _forward(self, payload: FileRequest) -> None:
+        """Route one looked-up request, then take the next message."""
+        tracer = self.sim.tracer
+        lookup, self._lookup_span = self._lookup_span, None
         self.plane.note_request(self.shard)
         if payload.file_id not in self.state:
             holders: List[str] = []
@@ -454,6 +465,7 @@ class MetadataServer:
             )
             if lookup is not None and tracer is not None:
                 tracer.end(lookup, routed=False)
+            self.endpoint.next()
             return
         primary, backups = holders[0], tuple(holders[1:])
         self.fabric.send_nowait(
@@ -475,6 +487,7 @@ class MetadataServer:
                     ForwardedRequest(request=payload, silent=True),
                 )
                 self.plane.writes_fanned_out += 1
+        self.endpoint.next()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<MetadataServer {self.name} {self.role} term={self.term}>"

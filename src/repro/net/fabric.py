@@ -6,25 +6,32 @@ channel simultaneously and proceeds at the slower of the two rates -- so a
 gigabit server feeding a 100 Mb/s type-2 node is throttled to 100 Mb/s,
 exactly as on the testbed.  The switch itself is non-blocking (no shared
 backplane contention), which matches small dedicated cluster switches.
+
+Everything on the message path is a callback: a delivery is a
+:class:`_Delivery` continuation chain, each NIC channel is a
+:class:`~repro.sim.handoff.Handoff` granting the wire to one transfer at
+a time, and each endpoint hands inbound messages to one consumer
+callback (:meth:`Endpoint.serve`) through a mailbox.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.net.link import DEFAULT_CONNECT_S, DEFAULT_LATENCY_S, Link
 from repro.net.message import Message
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, URGENT
-from repro.sim.resources import Store
+from repro.sim.handoff import Handoff
 
 
 class _Delivery:
     """Continuation state machine for one message transfer.
 
-    Each stage is a plain bound method subscribed directly to the event
-    it waits on (or scheduled via ``call_later``), so a delivery costs no
-    Process object, no kick-off/completion events and no generator frame.
+    Each stage is a plain callback: the NIC channels grant the wire
+    through ``call_soon`` (:meth:`_tx_granted`, :meth:`_rx_granted`) and
+    the wire time runs on ``call_later``, so a delivery costs no Process
+    object, no grant events and no generator frame.
 
     ``done`` is the completion event handed back to ``Fabric.send``
     callers; ``Fabric.send_nowait`` passes ``None`` and skips the final
@@ -41,8 +48,6 @@ class _Delivery:
         "span",
         "rx_hold",
         "remaining",
-        "tx_slot",
-        "rx_slot",
     )
 
     def __init__(
@@ -92,22 +97,18 @@ class _Delivery:
         # Ethernet does.
         self.rx_hold = message.size_bytes / receiver.rx.bandwidth_bps
         self.remaining = duration - self.rx_hold
-        self.tx_slot = sender.tx._channel.request()
-        assert self.tx_slot.callbacks is not None
-        self.tx_slot.callbacks.append(self._tx_granted)
+        sender.tx.channel.offer(self)
 
-    def _tx_granted(self, _event: Event) -> None:
-        self.rx_slot = self.receiver.rx._channel.request()
-        assert self.rx_slot.callbacks is not None
-        self.rx_slot.callbacks.append(self._rx_granted)
+    def _tx_granted(self) -> None:
+        self.receiver.rx.channel.offer(self)
 
-    def _rx_granted(self, _event: Event) -> None:
+    def _rx_granted(self) -> None:
         self.fabric.sim.call_later(self.rx_hold, self._rx_done)
 
     def _rx_done(self, _value: Any) -> None:
         receiver = self.receiver
         receiver.rx.bytes_sent += self.message.size_bytes
-        receiver.rx._channel.release(self.rx_slot)
+        receiver.rx.channel.release()
         if self.remaining > 0:
             self.fabric.sim.call_later(self.remaining, self._tx_done)
         else:
@@ -119,7 +120,7 @@ class _Delivery:
         self.sender.tx.bytes_sent += message.size_bytes
         fabric.messages_sent += 1
         fabric.bytes_sent += message.size_bytes
-        self.sender.tx._channel.release(self.tx_slot)
+        self.sender.tx.channel.release()
         message.delivered_at = fabric.sim.now
         tracer = fabric.sim.tracer
         if fabric._partitioned and (
@@ -136,25 +137,44 @@ class _Delivery:
         if self.span is not None and tracer is not None:
             tracer.end(self.span)
         self.receiver.messages_received += 1
-        put = self.receiver.inbox.put(message)
         if self.done is not None:
-            assert put.callbacks is not None
-            put.callbacks.append(self._delivered)
+            # The completion hop takes the slot just before the
+            # consumer's (see send()).
+            fabric.sim.call_soon(self._delivered)
+        self.receiver._mailbox.offer(message)
 
-    def _delivered(self, _event: Event) -> None:
+    def _delivered(self, _value: Any) -> None:
         assert self.done is not None
         self.done.succeed(self.message)
 
 
 class Endpoint:
-    """A named host on the fabric with a full-duplex NIC and an inbox."""
+    """A named host on the fabric with a full-duplex NIC and a mailbox.
+
+    One consumer callback, attached with :meth:`serve`, takes inbound
+    messages one at a time in arrival order; it calls :meth:`next` when
+    it can take the next one.  Messages to an endpoint nobody serves
+    wait in its mailbox.
+    """
 
     def __init__(self, sim: Simulator, name: str, bandwidth_bps: float, latency_s: float) -> None:
         self.sim = sim
         self.name = name
-        self.tx = Link(sim, bandwidth_bps, latency_s=latency_s, name=f"{name}:tx")
-        self.rx = Link(sim, bandwidth_bps, latency_s=0.0, name=f"{name}:rx")
-        self.inbox: Store = Store(sim)
+        self.tx = Link(
+            sim,
+            bandwidth_bps,
+            latency_s=latency_s,
+            name=f"{name}:tx",
+            on_grant=_Delivery._tx_granted,
+        )
+        self.rx = Link(
+            sim,
+            bandwidth_bps,
+            latency_s=0.0,
+            name=f"{name}:rx",
+            on_grant=_Delivery._rx_granted,
+        )
+        self._mailbox = Handoff(sim)
         self.messages_received = 0
 
     @property
@@ -162,13 +182,19 @@ class Endpoint:
         """NIC line rate."""
         return self.tx.bandwidth_bps
 
-    def receive(self):
-        """Event yielding the next inbound :class:`Message` (FIFO)."""
-        return self.inbox.get()
+    def serve(self, handler: Callable[[Message], None]) -> None:
+        """Hand every inbound :class:`Message` to ``handler(message)``.
 
-    def receive_matching(self, predicate):
-        """Event yielding the next inbound message satisfying *predicate*."""
-        return self.inbox.get(filter=predicate)
+        Delivery to an idle consumer is a ``call_soon`` at the moment the
+        message lands; while the consumer holds a message, later ones
+        wait in FIFO order until it calls :meth:`next`.  The consumer
+        starts at the URGENT kick-off slot, like a process started now.
+        """
+        self._mailbox.serve(handler)
+
+    def next(self) -> None:
+        """The consumer is done with its message: hand it the next one."""
+        self._mailbox.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Endpoint {self.name} {self.bandwidth_bps:.3g} B/s>"
@@ -245,7 +271,11 @@ class Fabric:
         """Transfer *payload* from *src* to *dst*.
 
         Returns an event that succeeds (with the :class:`Message`) once the
-        message has been appended to the destination inbox.
+        message has reached the destination mailbox.  The event is
+        triggered by a ``call_soon`` hop scheduled just before the
+        consumer's own slot, so it fires right after an idle consumer's
+        handler has run.  Callers that never wait should use
+        :meth:`send_nowait`.
         """
         done = Event(self.sim)
         self._launch(src, dst, payload, size_bytes, done)
@@ -261,7 +291,7 @@ class Fabric:
         """Fire-and-forget :meth:`send`: no completion event is created.
 
         Most protocol sends never wait on delivery (the reply arriving in
-        the inbox *is* the acknowledgement), so skipping the completion
+        the sender's mailbox *is* the acknowledgement), so skipping the completion
         event avoids one Event allocation plus one scheduled slot per
         message.  Dropping an event from the schedule only renumbers the
         sequence counter -- relative order of all surviving events is

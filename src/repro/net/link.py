@@ -8,12 +8,10 @@ storage server performs when contacting storage nodes (Fig. 2, step 1).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
-from repro.sim.monitor import TallyStat
-from repro.sim.resources import Resource
+from repro.sim.handoff import Handoff
 
 #: Table I NIC rates, in *bytes* per second (the table quotes megabits).
 GIGABIT_ETHERNET_BPS = 1000e6 / 8
@@ -27,7 +25,13 @@ DEFAULT_CONNECT_S = 500e-6
 
 
 class Link:
-    """A serialising transmission resource with fixed per-transfer latency."""
+    """A serialising transmission channel with fixed per-transfer latency.
+
+    ``channel`` grants the wire to one transfer at a time, in arrival
+    order: an idle link hands a transfer to *on_grant* through
+    ``call_soon`` at once, a busy one queues it until the holder calls
+    ``channel.release()``.
+    """
 
     def __init__(
         self,
@@ -35,6 +39,7 @@ class Link:
         bandwidth_bps: float,
         latency_s: float = DEFAULT_LATENCY_S,
         name: str = "link",
+        on_grant: Optional[Callable[[Any], None]] = None,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be > 0, got {bandwidth_bps!r}")
@@ -44,44 +49,14 @@ class Link:
         self.name = name
         self.bandwidth_bps = float(bandwidth_bps)
         self.latency_s = float(latency_s)
-        self._channel = Resource(sim, capacity=1)
+        self.channel = Handoff(sim, on_grant)
         self.bytes_sent = 0
-        self.transfers = TallyStat(name=f"{name}:transfer_s")
 
     def transmission_time(self, size_bytes: float) -> float:
         """Pure wire time for *size_bytes* (no queueing)."""
         if size_bytes < 0:
             raise ValueError(f"negative transfer size: {size_bytes!r}")
         return self.latency_s + size_bytes / self.bandwidth_bps
-
-    def transfer(self, size_bytes: int, rate_cap_bps: Optional[float] = None) -> Event:
-        """Occupy the link for one transfer; returns a completion event.
-
-        ``rate_cap_bps`` lowers the effective rate (used by the fabric when
-        the far end's NIC is slower than this link).
-        """
-        if size_bytes < 0:
-            raise ValueError(f"negative transfer size: {size_bytes!r}")
-        rate = self.bandwidth_bps
-        if rate_cap_bps is not None:
-            if rate_cap_bps <= 0:
-                raise ValueError(f"rate cap must be > 0, got {rate_cap_bps!r}")
-            rate = min(rate, rate_cap_bps)
-        duration = self.latency_s + size_bytes / rate
-        return self.sim.process(self._do_transfer(size_bytes, duration))
-
-    def _do_transfer(self, size_bytes: int, duration: float):
-        with self._channel.request() as slot:
-            yield slot
-            start = self.sim.now
-            yield self.sim.timeout(duration)
-            self.bytes_sent += size_bytes
-            self.transfers.record(self.sim.now - start)
-
-    @property
-    def queue_length(self) -> int:
-        """Transfers waiting for the wire (diagnostic)."""
-        return self._channel.queue_length
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name} {self.bandwidth_bps:.3g} B/s>"

@@ -8,6 +8,8 @@ event engine in the style popularised by SimPy, written from scratch:
 * :mod:`repro.sim.engine` -- the :class:`Simulator` (clock + event heap),
 * :mod:`repro.sim.process` -- processes (generator coroutines) and interrupts,
 * :mod:`repro.sim.resources` -- FIFO resources, stores and containers,
+* :mod:`repro.sim.handoff` -- the one-at-a-time hand-off behind callback
+  queues (fabric mailboxes, NIC channels, drive and SSD queues),
 * :mod:`repro.sim.monitor` -- tally / time-weighted statistics collection,
 * :mod:`repro.sim.rng` -- named, reproducible random-number streams.
 
@@ -18,6 +20,7 @@ time is in **seconds** (float).
 
 from repro.sim.engine import LanePerturbation, Simulator, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.handoff import Handoff
 from repro.sim.monitor import Recorder, TallyStat, TimeWeightedStat
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Container, PriorityResource, Resource, Store
@@ -28,6 +31,7 @@ __all__ = [
     "AnyOf",
     "Container",
     "Event",
+    "Handoff",
     "Interrupt",
     "LanePerturbation",
     "PriorityResource",

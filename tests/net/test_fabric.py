@@ -46,18 +46,63 @@ class TestTopology:
 class TestTransfers:
     def test_delivery_into_inbox(self, sim, fabric):
         got = []
+        node = fabric.endpoint("node1")
 
-        def receiver():
-            msg = yield fabric.endpoint("node1").receive()
+        def handler(msg):
             got.append((msg.payload, sim.now))
+            node.next()
+
+        node.serve(handler)
 
         def sender():
             yield fabric.send("server", "node1", payload="hello", size_bytes=0)
 
-        sim.process(receiver())
         sim.process(sender())
         sim.run()
         assert got == [("hello", 0.0)]
+
+    def test_mailbox_hands_over_one_message_at_a_time(self, sim, fabric):
+        """A consumer holding a message sees later ones only after
+        next(), in arrival order; messages sent before serve() wait."""
+        node = fabric.endpoint("node1")
+        got = []
+
+        def handler(msg):
+            got.append((msg.payload, sim.now))
+            # Hold each message for 1 s of simulated work.
+            sim.call_later(1.0, lambda _v: node.next())
+
+        for payload in ("a", "b", "c"):
+            fabric.send_nowait("server", "node1", payload=payload, size_bytes=0)
+        sim.run(until=0.5)
+        assert got == []  # nobody serves the endpoint yet
+        node.serve(handler)
+        sim.run()
+        assert got == [("a", 0.5), ("b", 1.5), ("c", 2.5)]
+
+    def test_send_completion_follows_the_consumer(self, sim, fabric):
+        """The done event is triggered from a hop scheduled just before
+        the consumer's slot, so it fires right after the handler ran --
+        the order an inbox put event gave."""
+        order = []
+        node = fabric.endpoint("node1")
+
+        def handler(msg):
+            order.append("handler")
+            node.next()
+
+        node.serve(handler)
+        done = fabric.send("server", "node1", payload=None, size_bytes=0)
+        assert done.callbacks is not None
+        done.callbacks.append(lambda _e: order.append("done"))
+        sim.run()
+        assert order == ["handler", "done"]
+
+    def test_endpoint_has_one_consumer(self, fabric):
+        node = fabric.endpoint("node1")
+        node.serve(lambda msg: None)
+        with pytest.raises(RuntimeError):
+            node.serve(lambda msg: None)
 
     def test_transfer_rate_is_min_of_nics(self, sim, fabric):
         done = {}
@@ -149,23 +194,6 @@ class TestTransfers:
         assert fabric.bytes_sent == 150
         assert fabric.endpoint("node1").messages_received == 1
 
-    def test_receive_matching_filters(self, sim, fabric):
-        got = []
-
-        def receiver():
-            node = fabric.endpoint("node1")
-            msg = yield node.receive_matching(lambda m: m.payload == "wanted")
-            got.append(msg.payload)
-
-        def sender():
-            yield fabric.send("server", "node1", payload="other", size_bytes=0)
-            yield fabric.send("server", "node1", payload="wanted", size_bytes=0)
-
-        sim.process(receiver())
-        sim.process(sender())
-        sim.run()
-        assert got == ["wanted"]
-
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -187,10 +215,14 @@ def test_fabric_conserves_messages(transfers):
         fabric.add_endpoint(name, 10 * MB)
     delivered = []
 
-    def receiver(name):
-        while True:
-            msg = yield fabric.endpoint(name).receive()
+    def consumer(name):
+        endpoint = fabric.endpoint(name)
+
+        def handler(msg):
             delivered.append(msg.message_id)
+            endpoint.next()
+
+        return handler
 
     def sender():
         events = [
@@ -200,9 +232,9 @@ def test_fabric_conserves_messages(transfers):
         yield sim.all_of(events)
 
     for name in "abc":
-        sim.process(receiver(name))
+        fabric.endpoint(name).serve(consumer(name))
     done = sim.process(sender())
     sim.run(until=done)
-    sim.run(until=sim.now + 1.0)  # drain inbox consumers
+    sim.run(until=sim.now + 1.0)  # drain the mailboxes
     assert sorted(delivered) == sorted(set(delivered))
     assert len(delivered) == len(transfers)

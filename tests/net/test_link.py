@@ -1,8 +1,13 @@
-"""Unit tests for point-to-point links."""
+"""Unit tests for point-to-point links (NICs).
+
+A link's ``channel`` grants the wire to one transfer at a time; the
+fabric drives it, so the transfer behaviour is exercised through
+:meth:`Fabric.send` between two endpoints whose NICs are the links.
+"""
 
 import pytest
 
-from repro.net import FAST_ETHERNET_BPS, GIGABIT_ETHERNET_BPS, Link
+from repro.net import FAST_ETHERNET_BPS, Fabric, GIGABIT_ETHERNET_BPS, Link
 from repro.sim import Simulator
 
 MB = 1024 * 1024
@@ -11,6 +16,27 @@ MB = 1024 * 1024
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+def _pair(sim, tx_bps, rx_bps=None):
+    """A zero-latency fabric with a sender ``a`` and a receiver ``b``."""
+    fabric = Fabric(sim, latency_s=0.0)
+    fabric.add_endpoint("a", tx_bps)
+    fabric.add_endpoint("b", tx_bps if rx_bps is None else rx_bps)
+    return fabric
+
+
+def _send_times(sim, fabric, sizes):
+    times = []
+
+    def sender(size):
+        yield fabric.send("a", "b", payload=None, size_bytes=size)
+        times.append(sim.now)
+
+    for size in sizes:
+        sim.process(sender(size))
+    sim.run()
+    return times
 
 
 def test_ethernet_rates_are_bytes_per_second():
@@ -33,94 +59,53 @@ def test_transmission_time(sim):
 
 
 def test_transfer_takes_wire_time(sim):
-    link = Link(sim, bandwidth_bps=10 * MB, latency_s=0.0)
-    done = {}
-
-    def client():
-        yield link.transfer(10 * MB)
-        done["t"] = sim.now
-
-    sim.process(client())
-    sim.run()
-    assert done["t"] == pytest.approx(1.0)
+    fabric = _pair(sim, 10 * MB)
+    assert _send_times(sim, fabric, [10 * MB]) == [pytest.approx(1.0)]
 
 
 def test_transfers_serialise(sim):
-    link = Link(sim, bandwidth_bps=10 * MB, latency_s=0.0)
-    times = []
-
-    def client(tag):
-        yield link.transfer(10 * MB)
-        times.append(sim.now)
-
-    sim.process(client("a"))
-    sim.process(client("b"))
-    sim.run()
+    fabric = _pair(sim, 10 * MB)
+    times = _send_times(sim, fabric, [10 * MB, 10 * MB])
     assert times == [pytest.approx(1.0), pytest.approx(2.0)]
 
 
 def test_rate_cap_slows_transfer(sim):
-    link = Link(sim, bandwidth_bps=100 * MB, latency_s=0.0)
-    done = {}
-
-    def client():
-        yield link.transfer(10 * MB, rate_cap_bps=10 * MB)
-        done["t"] = sim.now
-
-    sim.process(client())
-    sim.run()
-    assert done["t"] == pytest.approx(1.0)
+    """A fast sender is capped at the slower receiver's rate."""
+    fabric = _pair(sim, 100 * MB, rx_bps=10 * MB)
+    assert _send_times(sim, fabric, [10 * MB]) == [pytest.approx(1.0)]
 
 
 def test_rate_cap_above_bandwidth_is_ignored(sim):
-    link = Link(sim, bandwidth_bps=10 * MB, latency_s=0.0)
-    done = {}
-
-    def client():
-        yield link.transfer(10 * MB, rate_cap_bps=1000 * MB)
-        done["t"] = sim.now
-
-    sim.process(client())
-    sim.run()
-    assert done["t"] == pytest.approx(1.0)
+    """A faster receiver does not speed up a slow sender."""
+    fabric = _pair(sim, 10 * MB, rx_bps=1000 * MB)
+    assert _send_times(sim, fabric, [10 * MB]) == [pytest.approx(1.0)]
 
 
 def test_invalid_rate_cap_rejected(sim):
-    link = Link(sim, bandwidth_bps=10 * MB)
+    """The cap is the far end's NIC rate, and a NIC needs a positive one."""
+    fabric = Fabric(sim)
     with pytest.raises(ValueError):
-        link.transfer(1, rate_cap_bps=0)
+        fabric.add_endpoint("a", 0)
 
 
 def test_negative_transfer_rejected(sim):
-    link = Link(sim, bandwidth_bps=10 * MB)
+    fabric = _pair(sim, 10 * MB)
     with pytest.raises(ValueError):
-        link.transfer(-1)
+        fabric.send("a", "b", payload=None, size_bytes=-1)
 
 
 def test_bytes_and_stats_accounted(sim):
-    link = Link(sim, bandwidth_bps=10 * MB, latency_s=0.0)
-
-    def client():
-        yield link.transfer(5 * MB)
-        yield link.transfer(5 * MB)
-
-    sim.process(client())
-    sim.run()
-    assert link.bytes_sent == 10 * MB
-    assert link.transfers.count == 2
+    fabric = _pair(sim, 10 * MB)
+    _send_times(sim, fabric, [5 * MB, 5 * MB])
+    assert fabric.endpoint("a").tx.bytes_sent == 10 * MB
+    assert fabric.endpoint("b").rx.bytes_sent == 10 * MB
 
 
 def test_queue_length_visible_while_contended(sim):
-    link = Link(sim, bandwidth_bps=1 * MB, latency_s=0.0)
-    observed = {}
-
-    def sender():
-        link.transfer(10 * MB)
-        link.transfer(10 * MB)
-        link.transfer(10 * MB)
-        yield sim.timeout(0.5)
-        observed["queue"] = link.queue_length
-
-    sim.process(sender())
-    sim.run()
-    assert observed["queue"] == 2
+    fabric = _pair(sim, 1 * MB)
+    for _ in range(3):
+        fabric.send_nowait("a", "b", payload=None, size_bytes=10 * MB)
+    sim.run(until=0.5)
+    tx = fabric.endpoint("a").tx.channel
+    assert tx.busy
+    assert len(tx) == 2
